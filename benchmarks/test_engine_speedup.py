@@ -4,8 +4,9 @@ loops ≥3x on the hot data-parallel steps — scoring, for the array metrics
 paper's Table I and the one its figures plot), and counting-mode rendering
 (the load proxy the large virtual-rank experiments run) — and, now that
 sorting, reduction, and redistribution are batched too, on the *entire*
-fig11 pipeline end to end.  All three backends must reproduce the
-fig10/fig11 runs identically, down to every field of every step report.
+fig11 pipeline end to end.  All three backends (serial, vectorized,
+process) must reproduce the fig10/fig11 runs identically, down to every
+field of every step report.
 
 The speedup scenario uses the paper's 64-rank configuration with a finer
 4×4×4 block decomposition (4,096 blocks): the regime the redistribution step
@@ -22,7 +23,7 @@ import pytest
 from repro.cm1.dataset import CM1Dataset
 from repro.core.config import AdaptationConfig
 from repro.core.rendering_step import (
-    ParallelRenderingStep,
+    ProcessRenderingStep,
     RenderingStep,
     VectorizedRenderingStep,
 )
@@ -39,8 +40,8 @@ from repro.utils.benchjson import record_bench
 MIN_SPEEDUP = 3.0
 
 #: Minimum end-to-end wall-clock ratio of the streaming execution path
-#: (mmap replay + pipelined engine) over the one-shot sequential path
-#: (live CM1 simulation + sequential engine) on a multi-snapshot fig11 run.
+#: (mmap replay) over the one-shot path (live CM1 simulation) on a
+#: multi-snapshot fig11 run; both run the sequential engine.
 MIN_STREAMING_SPEEDUP = 1.3
 
 
@@ -125,7 +126,7 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
     platform = fine_scenario_64.platform
     serial = RenderingStep(platform, render_mode="count")
     vector = VectorizedRenderingStep(platform, render_mode="count")
-    parallel = ParallelRenderingStep(platform, render_mode="count")
+    proc = ProcessRenderingStep(platform, render_mode="count")
 
     def observable(step):
         results, info = step.run(blocks, 0)
@@ -139,7 +140,7 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
 
     reference = observable(serial)
     assert observable(vector) == reference
-    assert observable(parallel) == reference
+    assert observable(proc) == reference
 
     for _attempt in range(3):
         serial_seconds = _best_of(lambda: serial.run(blocks, 0))
@@ -295,41 +296,34 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
 
 
 def test_fig11_multisnapshot_streaming_speedup(tmp_path):
-    """The streaming execution path this PR introduces — a raw-layout mmap
-    replay feeding the pipelined engine — beats the pre-existing one-shot
-    path (live CM1 simulation + sequential engine) ≥1.3x end to end on a
-    multi-snapshot fig11 run.
+    """The streaming execution path — a raw-layout mmap replay, the path
+    ``repro serve`` takes on a cache hit — beats the one-shot path (live
+    CM1 simulation) ≥1.3x end to end on a multi-snapshot fig11 run.
 
     Both sides do the complete job of "turn a scenario config into per-
-    iteration fig11 results": the baseline simulates every CM1 snapshot and
-    runs the five steps strictly in sequence (the pre-PR behaviour of
-    ``python -m repro run``); the gated path replays the snapshots through
-    read-only ``np.memmap`` views of a raw-layout :class:`DatasetStore` —
-    zero deserialisation, no re-simulation — and schedules the stage graph
-    with :class:`PipelinedEngine`.  On a single-core runner the win is
-    dominated by the replay cache (the stage overlap needs spare cores to
-    pay off in wall-clock); the engine-only overlap is recorded separately
-    as an ungated trend measurement so multi-core runners show it.
+    iteration fig11 results" on the sequential engine: the baseline
+    simulates every CM1 snapshot (what ``python -m repro run`` does); the
+    gated path replays the snapshots through read-only ``np.memmap`` views
+    of a raw-layout :class:`DatasetStore` — zero deserialisation, no
+    re-simulation.
 
     The speedup must not come from doing less: every per-iteration result
-    of the streaming run is asserted identical to the sequential run first.
+    of the streaming run is asserted identical to the one-shot run first.
     """
     config = get_scenario("blue_waters_64").build(nsnapshots=4)
     store_dir = tmp_path / "fig11-replay"
 
-    def run_with(scenario, pipelined):
-        pipeline = scenario.build_pipeline(
-            metric="VAR", redistribution="round_robin", pipelined=pipelined
-        )
+    def run_with(scenario):
+        pipeline = scenario.build_pipeline(metric="VAR", redistribution="round_robin")
         return pipeline.run(scenario.iteration_blocks(), percent_override=50.0)
 
     def cold_run():
         # Fresh scenario: simulates CM1 from scratch, like a one-shot CLI run.
-        return run_with(ExperimentScenario(config), pipelined=False)
+        return run_with(ExperimentScenario(config))
 
     def warm_run():
         dataset = CM1Dataset.load(store_dir, mmap=True)
-        return run_with(ExperimentScenario(config, dataset=dataset), pipelined=True)
+        return run_with(ExperimentScenario(config, dataset=dataset))
 
     # Warm the replay store once; persisting is charged to neither side
     # (serve mode pays it on the first request only).
@@ -356,7 +350,7 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
     record_bench(
         gate="fig11_streaming_speedup",
         scenario="blue_waters_64",
-        backend="pipelined+mmap-replay",
+        backend="sequential+mmap-replay",
         seconds=warm_seconds,
         baseline_backend="sequential+simulate",
         baseline_seconds=cold_seconds,
@@ -373,39 +367,9 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
         f"streaming {warm_seconds:.3f}s)"
     )
 
-    # Engine-only overlap trend (ungated): same blocks, sequential vs
-    # pipelined.  On a single core this hovers around 1.0x — the stage
-    # overlap converts wall-clock to concurrency only when cores are spare —
-    # so it is recorded for the history file, not asserted.
-    scenario = cached_scenario(name="blue_waters_64")
-    blocks = [scenario.blocks_for(i % len(scenario.dataset)) for i in range(4)]
-    engine_seconds = {}
-    for pipelined in (False, True):
-        pipeline = scenario.build_pipeline(
-            metric="VAR", redistribution="round_robin", pipelined=pipelined
-        )
-        engine_seconds[pipelined] = _best_of(
-            lambda: pipeline.run(blocks, percent_override=50.0), repeats=2
-        )
-    record_bench(
-        gate="fig11_pipelined_engine_overlap",
-        scenario="blue_waters_64",
-        backend="pipelined",
-        seconds=engine_seconds[True],
-        baseline_backend="sequential",
-        baseline_seconds=engine_seconds[False],
-        snapshots=4,
-    )
-    print(
-        f"engine-only 4-snapshot run: sequential "
-        f"{engine_seconds[False] * 1e3:.0f} ms, pipelined "
-        f"{engine_seconds[True] * 1e3:.0f} ms "
-        f"({engine_seconds[False] / engine_seconds[True]:.2f}x)"
-    )
-
 
 def test_fig11_step_reports_identical_on_every_field(fine_scenario_64):
-    """Serial, vectorized, and parallel step reports agree on *every* field
+    """Serial, vectorized, and process step reports agree on *every* field
     of *every* step of a fig11 adaptive run — modelled per-rank seconds,
     payload bytes, counters, and per-rank counters; measured wall-clock is
     the one field that legitimately differs (only its per-rank shape is
@@ -427,7 +391,7 @@ def test_fig11_step_reports_identical_on_every_field(fine_scenario_64):
         return reports
 
     reference = fig11_reports("serial")
-    for engine in ("vectorized", "parallel"):
+    for engine in ("vectorized", "process"):
         other = fig11_reports(engine)
         for ref_iter, other_iter in zip(reference, other):
             assert set(other_iter) == set(ref_iter)
@@ -480,12 +444,12 @@ def _adaptive_trace(scenario, redistribution, target, engine, niterations=4):
     ids=["fig10", "fig11"],
 )
 def test_backends_identical_on_paper_scenarios(scenario_64, redistribution, target):
-    """Serial, vectorized, and parallel fig10/fig11 runs are identical."""
+    """Serial, vectorized, and process fig10/fig11 runs are identical."""
     serial = _adaptive_trace(scenario_64, redistribution, target, "serial")
     vector = _adaptive_trace(scenario_64, redistribution, target, "vectorized")
-    parallel = _adaptive_trace(scenario_64, redistribution, target, "parallel")
+    proc = _adaptive_trace(scenario_64, redistribution, target, "process")
     assert serial == vector
-    assert serial == parallel
+    assert serial == proc
 
 
 @pytest.mark.parametrize(
@@ -518,4 +482,4 @@ def test_backends_identical_with_coder_metric(scenario_64, redistribution, targe
 
     serial = trace("serial")
     assert serial == trace("vectorized")
-    assert serial == trace("parallel")
+    assert serial == trace("process")

@@ -8,14 +8,14 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   redistribute → render → adapt, Algorithm 1), built from composable
   :class:`~repro.core.step.PipelineStep` objects run by an
   :class:`~repro.core.engine.ExecutionEngine` with interchangeable
-  ``serial`` / ``vectorized`` / ``parallel`` backends
+  ``serial`` / ``vectorized`` / ``process`` backends
   (``PipelineConfig(engine=...)``);
 * :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockBatch`, the
   structure-of-arrays container the vectorized backend scores in bulk;
 * :mod:`repro.cm1` — a synthetic CM1-like supercell simulation and its
   reflectivity (dBZ) diagnostic;
-* :mod:`repro.simmpi` — a simulated MPI runtime with a latency/bandwidth cost
-  model;
+* :mod:`repro.simmpi` — a bulk-synchronous simulated MPI communicator with a
+  latency/bandwidth cost model;
 * :mod:`repro.metrics` — the block-scoring metrics (RANGE, VAR, ITL, LEA,
   FPZIP, TRILIN, ...);
 * :mod:`repro.compress` — fpzip/zfp/lz-like floating-point coders;
@@ -107,7 +107,7 @@ def quickstart_pipeline(
     This is the programmatic equivalent of ``examples/quickstart.py``: a small
     synthetic storm, a handful of virtual ranks, and the full six-step
     pipeline with adaptation enabled.  ``engine`` selects the execution
-    backend ("vectorized", "serial", or "parallel"); all give identical
+    backend ("vectorized", "serial", or "process"); all give identical
     results.
     """
     from repro.experiments.common import ExperimentScenario

@@ -20,7 +20,7 @@ Each of the five data steps implements the :class:`PipelineStep` contract
 (:mod:`repro.core.step`): ``execute(context) -> StepReport``.  The
 :class:`ExecutionEngine` (:mod:`repro.core.engine`) resolves each step's
 implementation through the backend registry (:mod:`repro.core.backends`) for
-a ``"serial"``, ``"vectorized"``, or ``"parallel"`` backend — selected
+a ``"serial"``, ``"vectorized"``, or ``"process"`` backend — selected
 through ``PipelineConfig.engine``, extensible by third-party registrations —
 and :class:`InSituPipeline` layers the adaptation controller and the
 :class:`PerformanceMonitor` on top.  The monitor records per-iteration,
@@ -40,22 +40,17 @@ from repro.core.backends import (
     resolve_step_factory,
 )
 from repro.core.step import (
-    STAGE_GRAPH,
     IterationContext,
     PipelineStep,
-    StageSpec,
     StepReport,
-    stage_spec,
 )
 from repro.core.scoring_step import (
-    ParallelScoringStep,
     ProcessScoringStep,
     ScoringStep,
     VectorizedScoringStep,
 )
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.reduction_step import (
-    ParallelReductionStep,
     ReductionStep,
     VectorizedReductionStep,
     select_blocks_to_reduce,
@@ -69,12 +64,11 @@ from repro.core.redistribution import (
     make_strategy,
 )
 from repro.core.rendering_step import (
-    ParallelRenderingStep,
     ProcessRenderingStep,
     RenderingStep,
     VectorizedRenderingStep,
 )
-from repro.core.engine import ExecutionEngine, PipelinedEngine
+from repro.core.engine import ExecutionEngine
 from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.core.pipeline import InSituPipeline
@@ -97,18 +91,13 @@ __all__ = [
     "IterationContext",
     "PipelineStep",
     "StepReport",
-    "StageSpec",
-    "STAGE_GRAPH",
-    "stage_spec",
     "ScoringStep",
     "VectorizedScoringStep",
-    "ParallelScoringStep",
     "ProcessScoringStep",
     "SortingStep",
     "VectorizedSortingStep",
     "ReductionStep",
     "VectorizedReductionStep",
-    "ParallelReductionStep",
     "select_blocks_to_reduce",
     "STEP_NAMES",
     "StepBuildContext",
@@ -125,11 +114,9 @@ __all__ = [
     "make_strategy",
     "RenderingStep",
     "VectorizedRenderingStep",
-    "ParallelRenderingStep",
     "ProcessRenderingStep",
     "ENGINE_BACKENDS",
     "ExecutionEngine",
-    "PipelinedEngine",
     "PerformanceMonitor",
     "IterationResult",
     "PipelineRunResult",

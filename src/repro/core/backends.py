@@ -6,9 +6,8 @@ registry, keyed by ``(step_name, backend)``.  A :data:`StepFactory` is a
 callable receiving a :class:`StepBuildContext` (the engine's already-built
 collaborators: config, platform, communicator, metric, strategy) and
 returning the step instance.  The built-in backends — ``"serial"``,
-``"vectorized"``, ``"parallel"``, ``"process"`` — register their twenty
-factories at import time; :func:`engine_backends` derives the authoritative
-backend tuple from
+``"vectorized"``, ``"process"`` — register their fifteen factories at import
+time; :func:`engine_backends` derives the authoritative backend tuple from
 the registrations, so ``ENGINE_BACKENDS`` is a *view* of the registry rather
 than a second source of truth.
 
@@ -30,8 +29,8 @@ single factory is enough to make a backend selectable.
 
 The pyMOR/NIFTy lineage of this design: algorithms ask a registry/backend
 layer for their operations instead of switching on an ``if/elif`` of known
-implementations, which is what lets later async or sharded engines register
-themselves from outside the package.
+implementations, which is what lets new backends register themselves from
+outside the package.
 """
 
 from __future__ import annotations
@@ -41,18 +40,15 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.redistribution import RedistributionStep, RedistributionStrategy
 from repro.core.reduction_step import (
-    ParallelReductionStep,
     ReductionStep,
     VectorizedReductionStep,
 )
 from repro.core.rendering_step import (
-    ParallelRenderingStep,
     ProcessRenderingStep,
     RenderingStep,
     VectorizedRenderingStep,
 )
 from repro.core.scoring_step import (
-    ParallelScoringStep,
     ProcessScoringStep,
     ScoringStep,
     VectorizedScoringStep,
@@ -196,7 +192,7 @@ def build_step(step_name: str, backend: str, context: StepBuildContext) -> Pipel
 # -- built-in registrations -----------------------------------------------------
 #
 # Registration order defines engine_backends() — serial first (it is also the
-# fallback), then vectorized (the default), then parallel.
+# fallback), then vectorized (the default), then process.
 
 register_step_backend(
     "scoring", "serial", lambda ctx: ScoringStep(ctx.metric, ctx.platform)
@@ -246,41 +242,6 @@ register_step_backend(
     "rendering",
     "vectorized",
     lambda ctx: VectorizedRenderingStep(
-        ctx.platform,
-        isosurface_level=ctx.config.isosurface_level,
-        render_mode=ctx.config.render_mode,
-    ),
-)
-
-register_step_backend(
-    "scoring",
-    "parallel",
-    lambda ctx: ParallelScoringStep(ctx.metric, ctx.platform),
-)
-# The sort is a rooted collective (rank 0 sorts, everyone receives the same
-# broadcast), so the parallel backend shares the NumPy path — there is no
-# per-rank work to fan out over a pool.
-register_step_backend(
-    "sorting", "parallel", lambda ctx: VectorizedSortingStep(ctx.comm)
-)
-register_step_backend(
-    "reduction",
-    "parallel",
-    lambda ctx: ParallelReductionStep(
-        ctx.platform, quality_ladder=ctx.config.quality_ladder
-    ),
-)
-# The exchange planner is already one searchsorted/bincount pass shared by
-# every backend; the exchange itself is a collective.
-register_step_backend(
-    "redistribution",
-    "parallel",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
-)
-register_step_backend(
-    "rendering",
-    "parallel",
-    lambda ctx: ParallelRenderingStep(
         ctx.platform,
         isosurface_level=ctx.config.isosurface_level,
         render_mode=ctx.config.render_mode,

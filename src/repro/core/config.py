@@ -1,4 +1,10 @@
-"""Configuration of the adaptive pipeline."""
+"""Configuration of the adaptive pipeline.
+
+:class:`PipelineConfig` selects the metric, the redistribution strategy, the
+rendering mode, the reduction quality ladder and the execution backend
+(``"serial"``, ``"vectorized"`` or ``"process"``) of one run;
+:class:`AdaptationConfig` configures the Algorithm 1 controller.
+"""
 
 from __future__ import annotations
 
@@ -85,16 +91,6 @@ class PipelineConfig:
         When True (default) the controller reacts to modelled platform
         seconds; when False it reacts to measured wall-clock (useful for
         pure-software runs without the platform model).
-    pipelined:
-        When True the pipeline runs on the
-        :class:`~repro.core.engine.PipelinedEngine`, which overlaps
-        consecutive iterations (snapshot ``t + 1`` is scored, sorted and
-        redistributed while ``t`` renders) whenever the percentage schedule
-        is known up front — a fixed ``percent_override`` or adaptation
-        disabled.  Runs that need the Algorithm 1 feedback loop fall back to
-        strictly sequential iterations (the controller consumes iteration
-        ``t``'s result before picking ``t + 1``'s percentage), so results
-        are identical either way.
     quality_ladder:
         How the reduction step distributes the selected (lowest-scored)
         blocks over the reduction ladder, as ordered ``(level, fraction)``
@@ -118,17 +114,15 @@ class PipelineConfig:
         reduction, one searchsorted/bincount pass in the redistribution
         planner, and one ``count_active_cells_batch`` call per shape group
         in counting-mode rendering.  ``"serial"`` iterates blocks one at a
-        time (the reference implementation); ``"parallel"`` additionally
-        fans the per-rank work out over ``concurrent.futures`` thread pools
-        (per-shape score chunks, whole ranks for reduction and rendering),
-        which is how metrics whose scoring is inherently per-block
-        (user-supplied scalar metrics) scale with cores.  All backends
-        produce identical scores, sort orders, reduction and redistribution
-        decisions, active-cell/triangle counts, and modelled timings;
-        measured wall-clock naturally differs (the vectorized and parallel
-        steps attribute one global pass proportionally to per-rank work),
-        so runs driven by ``use_modelled_time=False`` are backend- and
-        machine-dependent.
+        time (the reference implementation); ``"process"`` ships scoring
+        and rendering to a process pool through shared memory, which is
+        how GIL-bound metrics (pure-Python scorers) scale with cores.  All
+        backends produce identical scores, sort orders, reduction and
+        redistribution decisions, active-cell/triangle counts, and
+        modelled timings; measured wall-clock naturally differs
+        (the vectorized and process steps attribute one global pass
+        proportionally to per-rank work), so runs driven by
+        ``use_modelled_time=False`` are backend- and machine-dependent.
     """
 
     metric: str = "VAR"
@@ -139,7 +133,6 @@ class PipelineConfig:
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     shuffle_seed: int = 2016
     use_modelled_time: bool = True
-    pipelined: bool = False
     engine: str = "vectorized"
     quality_ladder: Tuple[Tuple[int, float], ...] = ((2, 1.0),)
 

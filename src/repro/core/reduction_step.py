@@ -9,8 +9,8 @@ the most aggressive level, better-scored selected blocks keep a level-1
 strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
 
-Like scoring and rendering, the step comes in three implementations of one
-contract, selected through the backend registry:
+The step comes in two implementations of one contract, selected through the
+backend registry (the ``"process"`` backend uses the vectorised one):
 
 * :class:`ReductionStep` — the reference loop: every block is tested against
   the reduced-id set and reduced one :func:`~repro.grid.reduction.reduce_block`
@@ -19,9 +19,7 @@ contract, selected through the backend registry:
   grouped by payload shape/dtype (the
   :func:`~repro.grid.batch.group_positions_by_shape` key every stacked hot
   path shares) and each group's corners are gathered with one
-  :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index pass;
-* :class:`ParallelReductionStep` — the per-rank batched pass fanned out over
-  a ``concurrent.futures`` thread pool across ranks.
+  :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index pass.
 
 All backends produce bitwise-identical reduced payloads and modelled seconds
 (the modelled cost is derived from
@@ -32,7 +30,6 @@ measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,7 +39,6 @@ from repro.grid.batch import group_positions_by_shape
 from repro.grid.block import Block
 from repro.grid.reduction import reduce_block, reduce_to_level_batch
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.pool import LazyThreadPool
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
@@ -350,81 +346,6 @@ class VectorizedReductionStep(ReductionStep):
             measured.append(
                 elapsed * (reduced_count / total_count) if total_count else 0.0
             )
-            modelled.append(self._reduction_seconds(reduced_count, points_copied))
-            points_total += points_copied
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "nreduced": len(reduced_ids),
-            "points_copied": points_total,
-            "reduction_levels": levels,
-        }
-        return out, reduced_ids, info
-
-
-class ParallelReductionStep(VectorizedReductionStep):
-    """The batched reduction pass fanned out over a thread pool across ranks.
-
-    Ranks reduce independently (the decision set is already global), so the
-    pool maps whole ranks to workers, each worker running the per-rank
-    shape-grouped batch pass of :class:`VectorizedReductionStep`.  Per-rank
-    ``measured`` seconds are each task's own wall-clock (tasks run
-    concurrently, so their sum exceeds the step's elapsed time); everything
-    decision-bearing is bitwise identical to the other backends.
-    """
-
-    name = "reduction"
-
-    def __init__(
-        self,
-        platform: Optional[PlatformModel] = None,
-        max_workers: Optional[int] = None,
-        quality_ladder: QualityLadder = DEFAULT_QUALITY_LADDER,
-    ) -> None:
-        super().__init__(platform, quality_ladder=quality_ladder)
-        self._workers = LazyThreadPool(
-            max_workers, thread_name_prefix="reduction-worker"
-        )
-        self.max_workers = self._workers.max_workers
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The step's worker pool, created on first use and reused across
-        iterations (the step lives as long as its engine)."""
-        return self._workers.executor
-
-    def run(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        percent: float,
-    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Reduce every rank's selected blocks, one pool task per rank."""
-        levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
-        reduced_ids = set(levels)
-
-        def reduce_rank(
-            blocks: Sequence[Block],
-        ) -> Tuple[List[Block], int, int, float]:
-            with Timer() as timer:
-                selected = self._selected_positions(blocks, levels)
-                new_blocks = self._apply_selected(blocks, selected, levels)
-                points_copied = sum(
-                    int(new_blocks[i].data.size) for i in selected
-                )
-            return new_blocks, len(selected), points_copied, timer.elapsed
-
-        out: List[List[Block]] = []
-        measured: List[float] = []
-        modelled: List[float] = []
-        points_total = 0
-        for new_blocks, reduced_count, points_copied, elapsed in self.pool.map(
-            reduce_rank, per_rank_blocks
-        ):
-            out.append(new_blocks)
-            measured.append(elapsed)
             modelled.append(self._reduction_seconds(reduced_count, points_copied))
             points_total += points_copied
         info = {

@@ -6,7 +6,7 @@ times (the rendering ends with a synchronous composition, so the slowest
 process drives the total — the load-imbalance effect the redistribution step
 attacks).
 
-Like the scoring step, the rendering step comes in four implementations of
+Like the scoring step, the rendering step comes in three implementations of
 one contract, selected by ``PipelineConfig.engine``:
 
 * :class:`RenderingStep` — the reference loop: every rank's blocks go through
@@ -17,9 +17,6 @@ one contract, selected by ``PipelineConfig.engine``:
   single vectorised ``count_active_cells_batch`` pass.  Mesh mode extracts
   real geometry, which cannot be stacked, and falls back to the reference
   per-block extraction;
-* :class:`ParallelRenderingStep` — the vectorised per-rank batch path fanned
-  out over a ``concurrent.futures`` thread pool across ranks; in mesh mode
-  the work items are per-shape block chunks, reassembled in block order;
 * :class:`ProcessRenderingStep` — counting mode fanned out over the shared
   process pool, payloads crossing zero-copy through
   :class:`~repro.grid.shm.SharedBlockBatch` segments (mesh mode falls back
@@ -31,7 +28,7 @@ seconds — measured wall-clock is the one quantity that legitimately differs.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +38,6 @@ from repro.grid.batch import group_positions_by_shape
 from repro.grid.block import Block
 from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.pool import LazyThreadPool
 from repro.utils.procpool import (
     chunk_bounds,
     default_process_workers,
@@ -50,7 +46,6 @@ from repro.utils.procpool import (
 from repro.utils.timer import Timer
 from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
 from repro.viz.marching_cubes import count_active_cells_batch
-from repro.viz.mesh import TriangleMesh
 
 
 class RenderingStep:
@@ -190,117 +185,6 @@ class VectorizedRenderingStep(RenderingStep):
     def _count_all(self, blocks: Sequence[Block]) -> np.ndarray:
         """Per-block active-cell counts (the counting-mode backend hook)."""
         return self.script.count_blocks_batched(blocks)
-
-
-class ParallelRenderingStep(VectorizedRenderingStep):
-    """The batched rendering path fanned out over a thread pool.
-
-    Ranks are independent at the rendering step (the paper's synchronous
-    composition happens *after* the per-rank work this step prices), so the
-    pool maps whole ranks to workers:
-
-    * counting mode: one :meth:`IsosurfaceScript.process_batch` task per rank
-      (itself the vectorised per-shape-group pass);
-    * mesh mode: each rank's blocks are split into per-shape chunks, every
-      chunk's blocks are extracted by one task (a single detection pass per
-      block), and the per-block meshes are reassembled *in block order* — so
-      the merged per-rank mesh, the counts, and the optional rasterized image
-      are identical to the serial backend's.
-
-    NumPy-heavy extraction releases the GIL for most of its work, so threads
-    (which share the block payloads for free) beat a process pool and its
-    per-payload pickling — the same trade the parallel scoring step makes.
-    Per-rank ``measured_seconds`` are each task's own wall-clock (tasks run
-    concurrently, so their sum exceeds the step's elapsed time).
-    """
-
-    def __init__(
-        self,
-        platform: PlatformModel,
-        isosurface_level: float = 45.0,
-        render_mode: str = "count",
-        render_image: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            platform,
-            isosurface_level=isosurface_level,
-            render_mode=render_mode,
-            render_image=render_image,
-        )
-        self._workers = LazyThreadPool(
-            max_workers, thread_name_prefix="rendering-worker"
-        )
-        self.max_workers = self._workers.max_workers
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The step's worker pool, created on first use and reused across
-        iterations (the step lives as long as its engine)."""
-        return self._workers.executor
-
-    def _render_all(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        if self.script.mode == "count":
-            return list(
-                self.pool.map(
-                    lambda blocks: self.script.process_batch(blocks, iteration),
-                    per_rank_blocks,
-                )
-            )
-        return self._render_all_mesh(per_rank_blocks, iteration)
-
-    # -- mesh mode: per-shape chunks across all ranks ------------------------
-
-    def _render_all_mesh(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        tasks: List[Tuple[int, List[int]]] = []
-        for rank, blocks in enumerate(per_rank_blocks):
-            tasks.extend(
-                (rank, positions)
-                for positions in group_positions_by_shape(blocks)
-            )
-
-        def extract_chunk(task: Tuple[int, List[int]]):
-            rank, positions = task
-            blocks = per_rank_blocks[rank]
-            with Timer() as timer:
-                extracted = [
-                    (pos, self.script.extract_block(blocks[pos]))
-                    for pos in positions
-                ]
-            return rank, extracted, timer.elapsed
-
-        per_rank_meshes: List[Dict[int, TriangleMesh]] = [
-            {} for _ in per_rank_blocks
-        ]
-        per_rank_cells: List[Dict[int, int]] = [{} for _ in per_rank_blocks]
-        elapsed: List[float] = [0.0 for _ in per_rank_blocks]
-        for rank, extracted, seconds in self.pool.map(extract_chunk, tasks):
-            elapsed[rank] += seconds
-            for pos, (mesh, cells) in extracted:
-                per_rank_meshes[rank][pos] = mesh
-                per_rank_cells[rank][pos] = cells
-
-        results: List[RenderResult] = []
-        for rank, blocks in enumerate(per_rank_blocks):
-            result = RenderResult(script_name=self.script.name, iteration=iteration)
-            meshes: List[TriangleMesh] = []
-            with Timer() as timer:
-                for pos, block in enumerate(blocks):
-                    result.npoints += int(block.data.size)
-                    mesh = per_rank_meshes[rank][pos]
-                    result.per_block_active_cells[block.block_id] = (
-                        per_rank_cells[rank][pos]
-                    )
-                    result.per_block_triangles[block.block_id] = mesh.ntriangles
-                    meshes.append(mesh)
-                self.script.finalize_mesh(result, meshes)
-            result.measured_seconds = elapsed[rank] + timer.elapsed
-            results.append(result)
-        return results
 
 
 def _count_shared_batch(

@@ -6,7 +6,7 @@ per-point cost times the rank's point count, and the step ends at the global
 sort (a collective), so the slowest rank determines the step's contribution to
 the iteration time.
 
-Four implementations of the same contract are provided:
+Three implementations of the same contract are provided:
 
 * :class:`ScoringStep` — routes every rank's blocks through
   ``metric.score_blocks`` (a per-block loop by default, but user metrics that
@@ -16,23 +16,19 @@ Four implementations of the same contract are provided:
   :class:`~repro.grid.batch.BlockBatch` data layout) and scores each group
   with one ``metric.score_batch`` call.  Metrics without a vectorised
   ``score_batch`` transparently fall back to the per-block path;
-* :class:`ParallelScoringStep` — same grouping, but the groups (split into
-  chunks) are fanned out over a ``concurrent.futures`` thread pool, so even
-  metrics whose scoring is inherently per-block (user-supplied scalar
-  metrics) scale with cores;
-* :class:`ProcessScoringStep` — the same chunking fanned out over the shared
-  *process* pool, with payloads crossing the boundary zero-copy through
-  :class:`~repro.grid.shm.SharedBlockBatch` segments.  This is the backend
-  for GIL-bound metrics (pure-Python scalar scorers), which threads cannot
-  speed up at all.
+* :class:`ProcessScoringStep` — the same grouping, split into chunks and
+  fanned out over the shared *process* pool, with payloads crossing the
+  boundary zero-copy through :class:`~repro.grid.shm.SharedBlockBatch`
+  segments.  This is the backend for GIL-bound metrics (pure-Python scalar
+  scorers), which a single interpreter cannot speed up.
 
-All four produce bitwise-identical scores, so the execution engine can pick
+All three produce bitwise-identical scores, so the execution engine can pick
 any backend without perturbing any downstream decision.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +39,6 @@ from repro.grid.block import Block
 from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.pool import LazyThreadPool
 from repro.utils.procpool import (
     chunk_bounds,
     default_process_workers,
@@ -222,94 +217,6 @@ class VectorizedScoringStep(ScoringStep):
         return per_rank_pairs, scored_blocks, info
 
 
-class ParallelScoringStep(VectorizedScoringStep):
-    """Scores block groups concurrently on a ``concurrent.futures`` pool.
-
-    The cross-rank pass of :class:`VectorizedScoringStep` is kept, but the
-    work is fanned out over a thread pool:
-
-    * metrics with a true ``score_batch`` have their per-shape groups split
-      into chunks, each chunk stacked and scored by one worker (safe by the
-      ``score_batch`` contract: batched scores are bitwise identical to
-      per-block scores, hence independent of the chunking);
-    * per-block metrics have their block list chunked directly and each chunk
-      scored block by block — this is the backend's reason to exist: a
-      user-supplied scalar metric scales with cores without writing any
-      vectorised code.  NumPy-heavy scorers release the GIL for most of
-      their work, so threads (which share the block payloads for free)
-      outperform a process pool and its pickling of every payload.
-
-    A metric that overrides ``score_blocks`` may apply cross-block logic
-    (e.g. normalisation over the whole list), which chunking would silently
-    change; such metrics are detected and routed through one unchunked
-    ``score_blocks`` call, trading parallelism for correctness.
-
-    Scores are scattered back by block position, so the output — like the
-    other backends' — is deterministic and bitwise identical to
-    :class:`ScoringStep`'s.
-    """
-
-    name = "scoring"
-
-    def __init__(
-        self,
-        metric: ScoreMetric,
-        platform: PlatformModel,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(metric, platform)
-        self._workers = LazyThreadPool(max_workers, thread_name_prefix="scoring-worker")
-        self.max_workers = self._workers.max_workers
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The step's worker pool, created on first use and reused across
-        iterations (the step lives as long as its engine)."""
-        return self._workers.executor
-
-    def _chunks(self, indices: List[int]) -> List[List[int]]:
-        """Split ``indices`` into at most ``2 * max_workers`` contiguous chunks."""
-        nchunks = min(len(indices), 2 * self.max_workers)
-        bounds = np.linspace(0, len(indices), nchunks + 1).astype(int)
-        return [
-            indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-
-    def _score_rank(self, blocks: Sequence[Block]) -> List[float]:
-        if not blocks:
-            return []
-        overridden = type(self.metric).score_blocks is not ScoreMetric.score_blocks
-        if not self.metric.supports_batch and overridden:
-            # Cross-block semantics: one call, no chunking (see class docs).
-            return super()._score_rank(blocks)
-        scores = np.empty(len(blocks), dtype=np.float64)
-
-        if self.metric.supports_batch:
-            chunks = [
-                chunk
-                for indices in group_positions_by_shape(blocks)
-                for chunk in self._chunks(indices)
-            ]
-
-            def score_chunk(chunk: List[int]) -> np.ndarray:
-                return self.metric.score_batch(
-                    np.stack([blocks[i].data for i in chunk])
-                )
-
-        else:
-            chunks = self._chunks(list(range(len(blocks))))
-
-            def score_chunk(chunk: List[int]) -> np.ndarray:
-                return np.array(
-                    [self.metric.score_block(blocks[i].data) for i in chunk],
-                    dtype=np.float64,
-                )
-
-        for chunk, chunk_scores in zip(chunks, self.pool.map(score_chunk, chunks)):
-            scores[chunk] = np.asarray(chunk_scores, dtype=np.float64)
-        return [float(s) for s in scores]
-
-
 # -- process-pool workers -----------------------------------------------------
 #
 # Top-level functions (pickled by reference into the worker processes); the
@@ -349,22 +256,25 @@ def _score_shared_blocks(
 class ProcessScoringStep(VectorizedScoringStep):
     """Scores block chunks on the shared process pool, payloads via shm.
 
-    Same cross-rank grouping and chunking as :class:`ParallelScoringStep`,
-    but each shape group's stacked payload is copied once into a
+    Same cross-rank shape grouping as :class:`VectorizedScoringStep`, but
+    each shape group's stacked payload is copied once into a
     :class:`~repro.grid.shm.SharedBlockBatch` segment and workers score
     contiguous row ranges of the shared view — the task queue only ever
-    carries the metric, a segment handle, and two integers.  Because worker
-    processes do not share the GIL, this is the backend that makes
-    *pure-Python* per-block metrics scale with cores; for GIL-releasing
-    NumPy metrics the thread backend remains the better choice (no segment
+    carries the metric, a segment handle, and two integers.  Chunking is
+    safe: batched scores are bitwise identical to per-block scores, hence
+    independent of the chunk boundaries.  Because worker processes do not
+    share the GIL, this is the backend that makes *pure-Python* per-block
+    metrics scale with cores; for GIL-releasing NumPy metrics the
+    in-process vectorized backend remains the better choice (no segment
     copy, no task pickling).
 
     The metric must be picklable (the built-in metrics are plain
-    dataclasses; user metrics must be module-level classes).  Metrics that
-    override ``score_blocks`` with cross-block semantics are routed through
-    the unchunked reference path, exactly as in the thread backend.  Every
-    segment is disposed in a ``finally`` block, so worker exceptions cannot
-    leak shared memory.
+    dataclasses; user metrics must be module-level classes).  A metric that
+    overrides ``score_blocks`` may apply cross-block logic (e.g.
+    normalisation over the whole list), which chunking would silently
+    change; such metrics are routed through one unchunked reference call.
+    Every segment is disposed in a ``finally`` block, so worker exceptions
+    cannot leak shared memory.
     """
 
     name = "scoring"

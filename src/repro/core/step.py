@@ -5,9 +5,9 @@ render) is a :class:`PipelineStep`: an object with a ``name`` and an
 ``execute`` method that advances one :class:`IterationContext` and returns a
 :class:`StepReport`.  The :class:`~repro.core.engine.ExecutionEngine` runs an
 ordered list of steps; :class:`~repro.core.monitor.PerformanceMonitor`
-consumes the reports.  Because the contract is uniform, steps can be swapped
-(serial vs. vectorised scoring), reordered, or extended without touching the
-orchestration code — the property every later scaling backend builds on.
+consumes the reports.  Because the contract is uniform, a step's
+implementation (serial, vectorised or process-pool scoring, ...) can be
+swapped without touching the orchestration code.
 """
 
 from __future__ import annotations
@@ -135,98 +135,6 @@ class IterationContext:
         if self.sorted_pairs is None:
             raise RuntimeError("sorting step must run before this step")
         return self.sorted_pairs
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """Schedulable description of one pipeline stage.
-
-    The engine's step sequence is not just an ordered list — it is a
-    dependency graph, and :class:`StageSpec` is the explicit form of that
-    graph.  ``after`` names the stages of the *same* iteration whose context
-    mutations this stage consumes (the intra-iteration data dependencies);
-    ``serial_across_iterations`` declares that the stage must process
-    iteration ``i`` before iteration ``i + 1`` (true for every built-in
-    stage: step objects may carry per-stage state such as a communicator's
-    clocks, and the reported deltas assume call order).
-
-    The sequential :class:`~repro.core.engine.ExecutionEngine` runs stages
-    in topological order; the :class:`~repro.core.engine.PipelinedEngine`
-    overlaps iterations by scheduling stage ``s`` of iteration ``i`` as soon
-    as every ``after`` stage of iteration ``i`` and stage ``s`` of iteration
-    ``i - 1`` have completed — which is how snapshot ``t + 1`` scores and
-    sorts while snapshot ``t`` renders.
-
-    Attributes
-    ----------
-    name:
-        Stage (= step) name, e.g. ``"scoring"``.
-    after:
-        Names of same-iteration stages that must complete first.
-    reads, writes:
-        The :class:`IterationContext` fields the stage consumes and
-        produces — documentation of *why* the ``after`` edges exist, kept
-        machine-readable so tools (and tests) can check the graph against
-        the context contract.
-    serial_across_iterations:
-        Whether instances of this stage must run in iteration order.
-    """
-
-    name: str
-    after: Tuple[str, ...] = ()
-    reads: Tuple[str, ...] = ()
-    writes: Tuple[str, ...] = ()
-    serial_across_iterations: bool = True
-
-
-#: The explicit dependency graph of the paper's Figure-2 step sequence: a
-#: linear chain, because every stage consumes context state the previous one
-#: writes.  ``per_rank_blocks`` is rewritten in place by reduction and
-#: redistribution, which is what serialises the middle of the chain.
-STAGE_GRAPH: Tuple[StageSpec, ...] = (
-    StageSpec(
-        name="scoring",
-        reads=("per_rank_blocks",),
-        writes=("per_rank_pairs",),
-    ),
-    StageSpec(
-        name="sorting",
-        after=("scoring",),
-        reads=("per_rank_pairs",),
-        writes=("sorted_pairs",),
-    ),
-    StageSpec(
-        name="reduction",
-        after=("sorting",),
-        reads=("sorted_pairs", "per_rank_blocks"),
-        writes=("per_rank_blocks", "reduced_ids"),
-    ),
-    StageSpec(
-        name="redistribution",
-        after=("reduction",),
-        reads=("sorted_pairs", "per_rank_blocks"),
-        writes=("per_rank_blocks",),
-    ),
-    StageSpec(
-        name="rendering",
-        after=("redistribution",),
-        reads=("per_rank_blocks",),
-        writes=("render_results",),
-    ),
-)
-
-
-def stage_spec(name: str) -> StageSpec:
-    """The :data:`STAGE_GRAPH` entry for ``name``.
-
-    Steps unknown to the canonical graph (third-party stages appended to an
-    engine) get a conservative spec: they run after every canonical stage
-    and serially across iterations.
-    """
-    for spec in STAGE_GRAPH:
-        if spec.name == name:
-            return spec
-    return StageSpec(name=name, after=tuple(s.name for s in STAGE_GRAPH))
 
 
 @runtime_checkable

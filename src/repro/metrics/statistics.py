@@ -58,9 +58,9 @@ class PythonVarianceMetric(ScoreMetric):
 
     Scores a block with Welford's online variance over a Python loop,
     holding the GIL for the whole call — exactly what a user-supplied
-    scalar metric written without NumPy looks like.  The thread backend
-    cannot speed such a metric up at all (the loop never releases the GIL);
-    the process backend can, which is what the engine benchmarks measure.
+    scalar metric written without NumPy looks like.  Threads cannot speed
+    such a metric up at all (the loop never releases the GIL); the process
+    backend can, which is what the engine benchmarks measure.
     ``stride`` subsamples the block to keep the absolute cost at benchmark
     scale; scoring stays deterministic, so all backends agree bitwise.
 

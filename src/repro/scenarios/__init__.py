@@ -12,7 +12,7 @@ block decomposition — registered in a global registry
   constructors now resolve through the registry);
 * ``python -m repro list`` / ``python -m repro run <scenario>`` expose the
   catalogue on the command line;
-* ``tests/test_scenarios.py`` parameterises its serial/vectorized/parallel
+* ``tests/test_scenarios.py`` parameterises its serial/vectorized/process
   parity sweep over :func:`scenario_names`, so every newly registered
   workload is parity-tested for free;
 * :func:`scaling_variants` derives weak/strong-scaling rank sweeps from any

@@ -15,8 +15,10 @@ the protocol is tiny:
 ``POST /run``
     JSON body selecting a registered scenario and optional overrides
     (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
-    ``percent``, ``target``, ``render_mode``, ``backend``, ``pipelined``,
-    ``timeout_s``).  The response streams NDJSON: one ``start`` event (with
+    ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``),
+    validated in full — unknown fields, a ``percent`` outside [0, 100], a
+    non-positive ``target`` — with a JSON 400 before any ``200`` header is
+    sent.  The response streams NDJSON: one ``start`` event (with
     the cache verdict), one ``iteration`` event per completed pipeline
     iteration *as it completes*, and a final ``summary`` event matching
     ``python -m repro run``'s machine-readable contract — or a terminal
@@ -53,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import json
 import queue as queue_module
+import signal
 import sys
 import threading
 import time
@@ -105,7 +108,6 @@ class RunRequest:
     target: Optional[float] = None
     render_mode: str = "count"
     backend: Optional[str] = None
-    pipelined: bool = True
     timeout_s: Optional[float] = None
 
     @classmethod
@@ -119,7 +121,7 @@ class RunRequest:
         known = {
             "scenario", "ranks", "snapshots", "seed", "metric",
             "redistribution", "percent", "target", "render_mode", "backend",
-            "pipelined", "timeout_s",
+            "timeout_s",
         }
         unknown = set(payload) - known
         if unknown:
@@ -143,7 +145,6 @@ class RunRequest:
                 if payload.get("backend") is None
                 else str(payload["backend"]).strip().lower()
             ),
-            pipelined=bool(payload.get("pipelined", True)),
             timeout_s=(
                 None
                 if payload.get("timeout_s") is None
@@ -169,6 +170,10 @@ class RunRequest:
                 f"unknown backend {request.backend!r}; available: "
                 f"{', '.join(engine_backends())}"
             )
+        if request.percent is not None and not 0.0 <= request.percent <= 100.0:
+            raise ValueError(f"percent must be in [0, 100], got {request.percent}")
+        if request.target is not None and not request.target > 0:
+            raise ValueError(f"target must be > 0, got {request.target}")
         if request.timeout_s is not None and not request.timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {request.timeout_s}")
         return request
@@ -374,7 +379,6 @@ class ServeApp:
                 adaptation=adaptation,
                 render_mode=request.render_mode,
                 engine=request.backend,
-                pipelined=request.pipelined,
             )
 
             def on_iteration(result) -> None:
@@ -729,7 +733,13 @@ async def serve_forever(
     shutdown_grace: float = 10.0,
     ready_message: bool = True,
 ) -> None:
-    """Run the service until cancelled (the ``python -m repro serve`` body)."""
+    """Run the service until cancelled or sent SIGTERM (the ``python -m
+    repro serve`` body).
+
+    SIGTERM drains like SIGINT: :meth:`ServeApp.close` cancels in-flight
+    runs, and the function returns normally, so the interpreter's exit
+    handlers shut down the shared process pool and its manager.
+    """
     app = ServeApp(
         cache_dir,
         max_workers=max_workers,
@@ -739,6 +749,11 @@ async def serve_forever(
         cache_max_bytes=cache_max_bytes,
         shutdown_grace=shutdown_grace,
     )
+    # Installed after ServeApp forked its workers, which keep the default
+    # SIGTERM action.
+    loop = asyncio.get_running_loop()
+    terminated = asyncio.Event()
+    loop.add_signal_handler(signal.SIGTERM, terminated.set)
     server = await app.start(host, port)
     try:
         bound = server.sockets[0].getsockname()
@@ -746,6 +761,8 @@ async def serve_forever(
             print(f"repro serve listening on {bound[0]}:{bound[1]}", file=sys.stderr)
             sys.stderr.flush()
         async with server:
-            await server.serve_forever()
+            await terminated.wait()
+        print("serve: terminated, shutting down", file=sys.stderr)
     finally:
+        loop.remove_signal_handler(signal.SIGTERM)
         app.close()

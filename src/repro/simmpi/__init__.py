@@ -1,35 +1,19 @@
 """A simulated MPI runtime.
 
 The paper runs on Blue Waters with real MPI; this environment has neither, so
-``repro.simmpi`` provides two complementary substitutes:
-
-* :class:`BSPCommunicator` — a bulk-synchronous, driver-side communicator.
-  The caller holds per-rank values in Python lists indexed by rank and the
-  communicator implements the MPI collective *semantics* over those lists
-  while charging modelled communication time to per-rank virtual clocks
-  through a latency/bandwidth :class:`NetworkCostModel`.  The core pipeline
-  uses this layer: it scales to hundreds of virtual ranks in a single
-  process and is fully deterministic.
-
-* :class:`SimRuntime` / :class:`RankCommunicator` /
-  :class:`ProcessRankCommunicator` — an SPMD runtime with an mpi4py-like API
-  (``send``/``recv``/``isend``/``bcast``/``gather``/``allreduce``/...).
-  Each virtual rank runs the same function in its own thread
-  (``mode="thread"``, the default) or its own OS process
-  (``mode="process"``, for GIL-bound rank code), which is convenient for
-  writing code that looks like real MPI programs (examples and tests use it
-  at small rank counts).
-
-Both layers share :class:`NetworkCostModel` and :class:`VirtualClocks`.
+``repro.simmpi`` provides :class:`BSPCommunicator` — a bulk-synchronous,
+driver-side communicator.  The caller holds per-rank values in Python lists
+indexed by rank and the communicator implements the MPI collective
+*semantics* over those lists while charging modelled communication time to
+per-rank :class:`VirtualClocks` through a latency/bandwidth
+:class:`NetworkCostModel`.  It scales to thousands of virtual ranks in a
+single process and is fully deterministic.  The module also provides the
+parallel sorts of the pipeline's sorting step (:mod:`repro.simmpi.sort`).
 """
 
 from repro.simmpi.costmodel import NetworkCostModel
 from repro.simmpi.timing import VirtualClocks
 from repro.simmpi.communicator import BSPCommunicator
-from repro.simmpi.runtime import RankResult, SimRuntime, SPMDError
-from repro.simmpi.rankcomm import RankCommunicator
-from repro.simmpi.processcomm import ProcessRankCommunicator, RemoteRankError
-from repro.simmpi.requests import Request
 from repro.simmpi.sort import (
     parallel_sort_pairs,
     parallel_sort_pairs_numpy,
@@ -40,13 +24,6 @@ __all__ = [
     "NetworkCostModel",
     "VirtualClocks",
     "BSPCommunicator",
-    "SimRuntime",
-    "SPMDError",
-    "RankResult",
-    "RankCommunicator",
-    "ProcessRankCommunicator",
-    "RemoteRankError",
-    "Request",
     "parallel_sort_pairs",
     "parallel_sort_pairs_numpy",
     "sample_sort",

@@ -8,9 +8,7 @@ through :class:`~repro.simmpi.costmodel.NetworkCostModel`.
 
 This style trades MPI's SPMD control flow for a data-parallel driver loop,
 which keeps the simulation single-threaded, deterministic, and able to model
-hundreds of virtual ranks cheaply.  The thread-based
-:class:`~repro.simmpi.runtime.SimRuntime` offers the SPMD view when that is
-preferred.
+hundreds of virtual ranks cheaply.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from repro.utils.timer import Timer, StepTimings
 from repro.utils.benchjson import default_bench_path, record_bench
 from repro.utils.histogram import fixed_range_histogram, probabilities, shannon_entropy
-from repro.utils.pool import LazyThreadPool
 from repro.utils.procpool import (
     chunk_bounds,
     default_process_workers,
@@ -21,7 +20,6 @@ from repro.utils.validation import (
 __all__ = [
     "Timer",
     "StepTimings",
-    "LazyThreadPool",
     "chunk_bounds",
     "default_bench_path",
     "record_bench",

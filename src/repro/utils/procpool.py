@@ -1,18 +1,16 @@
 """Shared lazy process-pool helper for the process pipeline steps.
 
-Mirror of :mod:`repro.utils.pool`, but for ``ProcessPoolExecutor``: where
-threads are the right pool for GIL-releasing NumPy kernels, processes are
-the right pool for *GIL-bound* per-block Python work (scalar user metrics,
-pure-Python scoring loops).  Worker processes are expensive to start, so a
-single module-level pool is shared by every process step in the engine and
-created lazily on first submit.
+Processes are the right pool for *GIL-bound* per-block Python work (scalar
+user metrics, pure-Python scoring loops), which one interpreter cannot
+spread over cores.  Worker processes are expensive to start, so a single
+module-level pool is shared by every process step in the engine and created
+lazily on first submit.
 
 The pool uses the ``fork`` start method where available: forked workers
 start in milliseconds and inherit the parent's imports, and every fork
-happens from the driver thread while no step threads hold locks (the
-process backend never nests inside the thread backend).  Payloads cross
-the boundary through :mod:`repro.grid.shm` segments, so tasks themselves
-only carry handles and small metadata.
+happens from the thread driving the engine, which runs its steps one at a
+time.  Payloads cross the boundary through :mod:`repro.grid.shm` segments,
+so tasks themselves only carry handles and small metadata.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class TestList:
         _, out, _ = run_cli(capsys, "list", "--json")
         for entry in json.loads(out):
             assert entry["parity_backends"] == [
-                "serial", "vectorized", "parallel", "process",
+                "serial", "vectorized", "process",
             ]
 
 
@@ -134,8 +134,9 @@ class TestRun:
     def test_unknown_metric_and_backend_fail(self, capsys):
         code, _, err = run_cli(capsys, "run", "tiny", "--metric", "NOPE")
         assert code != 0 and "VAR" in err
-        code, _, err = run_cli(capsys, "run", "tiny", "--backend", "quantum")
-        assert code != 0 and "vectorized" in err
+        for backend in ("quantum", "parallel"):
+            code, _, err = run_cli(capsys, "run", "tiny", "--backend", backend)
+            assert code == 2 and "vectorized" in err
 
     def test_unknown_backend_error_offers_process(self, capsys):
         code, _, err = run_cli(capsys, "run", "tiny", "--backend", "bogus")

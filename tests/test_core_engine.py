@@ -16,31 +16,49 @@ from repro.core.backends import (
     resolve_step_factory,
 )
 from repro.core.config import AdaptationConfig, PipelineConfig
-from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine, PipelinedEngine
-from repro.core.reduction_step import (
-    ParallelReductionStep,
-    ReductionStep,
-    VectorizedReductionStep,
-)
+from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine
+from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
 from repro.core.rendering_step import (
-    ParallelRenderingStep,
+    ProcessRenderingStep,
     RenderingStep,
     VectorizedRenderingStep,
 )
 from repro.core.scoring_step import (
-    ParallelScoringStep,
+    ProcessScoringStep,
     ScoringStep,
     VectorizedScoringStep,
 )
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
-from repro.core.step import (
-    STAGE_GRAPH,
-    IterationContext,
-    PipelineStep,
-    StepReport,
-    stage_spec,
-)
+from repro.core.step import IterationContext, PipelineStep, StepReport
+from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
+
+
+# User-style metrics for the process backend live at module level so they
+# pickle by reference into the pool workers.
+
+
+class Spiky(ScoreMetric):
+    """A user-style scalar metric with no batch implementation."""
+
+    name = "SPIKY"
+
+    def score_block(self, data):
+        return float(np.abs(np.asarray(data)).max())
+
+
+class RankNormalized(ScoreMetric):
+    """Cross-block semantics: chunking would change the peak."""
+
+    name = "RANKNORM"
+
+    def score_block(self, data):
+        return float(np.ptp(np.asarray(data)))
+
+    def score_blocks(self, blocks):
+        raw = [self.score_block(b) for b in blocks]
+        peak = max(raw) or 1.0
+        return [r / peak for r in raw]
 
 
 class TestStepReport:
@@ -86,49 +104,52 @@ class TestEngineConstruction:
             )
 
     def test_invalid_engine_in_config(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(engine="banana")
+        for name in ("banana", "parallel"):
+            with pytest.raises(ValueError, match="process"):
+                PipelineConfig(engine=name)
 
     def test_backend_selects_scoring_step(self):
         platform = PlatformModel.blue_waters(4)
         serial = ExecutionEngine(PipelineConfig(engine="serial"), platform)
         vector = ExecutionEngine(PipelineConfig(engine="vectorized"), platform)
-        par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
+        proc = ExecutionEngine(PipelineConfig(engine="process"), platform)
         assert type(serial.scoring) is ScoringStep
         assert type(vector.scoring) is VectorizedScoringStep
-        assert type(par.scoring) is ParallelScoringStep
+        assert type(proc.scoring) is ProcessScoringStep
         assert serial.backend == "serial"
         assert vector.backend == "vectorized"
-        assert par.backend == "parallel"
+        assert proc.backend == "process"
 
     def test_backend_selects_rendering_step(self):
         platform = PlatformModel.blue_waters(4)
         serial = ExecutionEngine(PipelineConfig(engine="serial"), platform)
         vector = ExecutionEngine(PipelineConfig(engine="vectorized"), platform)
-        par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
+        proc = ExecutionEngine(PipelineConfig(engine="process"), platform)
         assert type(serial.rendering) is RenderingStep
         assert type(vector.rendering) is VectorizedRenderingStep
-        assert type(par.rendering) is ParallelRenderingStep
+        assert type(proc.rendering) is ProcessRenderingStep
 
     def test_backend_selects_sorting_step(self):
         platform = PlatformModel.blue_waters(4)
         serial = ExecutionEngine(PipelineConfig(engine="serial"), platform)
         vector = ExecutionEngine(PipelineConfig(engine="vectorized"), platform)
-        par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
+        proc = ExecutionEngine(PipelineConfig(engine="process"), platform)
         assert type(serial.sorting) is SortingStep
-        # The sort is a rooted collective: vectorized and parallel share the
+        # The sort is a rooted collective: vectorized and process share the
         # NumPy lexsort path.
         assert type(vector.sorting) is VectorizedSortingStep
-        assert type(par.sorting) is VectorizedSortingStep
+        assert type(proc.sorting) is VectorizedSortingStep
 
     def test_backend_selects_reduction_step(self):
         platform = PlatformModel.blue_waters(4)
         serial = ExecutionEngine(PipelineConfig(engine="serial"), platform)
         vector = ExecutionEngine(PipelineConfig(engine="vectorized"), platform)
-        par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
+        proc = ExecutionEngine(PipelineConfig(engine="process"), platform)
         assert type(serial.reduction) is ReductionStep
         assert type(vector.reduction) is VectorizedReductionStep
-        assert type(par.reduction) is ParallelReductionStep
+        # Reduction copies a few values per block: shipping payloads to a
+        # worker would cost more than the gather, so process reuses it.
+        assert type(proc.reduction) is VectorizedReductionStep
         # The step derives its modelled cost from the engine's platform.
         assert vector.reduction.platform is platform
 
@@ -139,7 +160,7 @@ class TestEngineConstruction:
             assert isinstance(step, PipelineStep)
 
     def test_backends_constant(self):
-        assert ENGINE_BACKENDS == ("serial", "vectorized", "parallel", "process")
+        assert ENGINE_BACKENDS == ("serial", "vectorized", "process")
 
 
 class TestBackendRegistry:
@@ -155,12 +176,12 @@ class TestBackendRegistry:
             backends_module._BACKEND_ORDER.remove("warp10")
 
     def test_engine_backends_derived_from_registry(self):
-        assert engine_backends() == ("serial", "vectorized", "parallel", "process")
+        assert engine_backends() == ("serial", "vectorized", "process")
         register_step_backend(
             "scoring", "warp10", lambda ctx: ScoringStep(ctx.metric, ctx.platform)
         )
         assert engine_backends() == (
-            "serial", "vectorized", "parallel", "process", "warp10",
+            "serial", "vectorized", "process", "warp10",
         )
         # The config/engine re-exports see the registration too.
         from repro.core import config as config_module
@@ -170,7 +191,7 @@ class TestBackendRegistry:
         assert engine_module.ENGINE_BACKENDS == engine_backends()
 
     def test_every_builtin_step_registered_per_backend(self):
-        for backend in ("serial", "vectorized", "parallel", "process"):
+        for backend in ("serial", "vectorized", "process"):
             assert set(registered_steps(backend)) == set(STEP_NAMES)
 
     def test_resolve_unknown_step_raises(self):
@@ -277,6 +298,16 @@ class TestEngineExecution:
         with pytest.raises(ValueError):
             engine.run_iteration(tiny_scenario.blocks_for(0), 120.0, 0)
 
+    def test_private_communicators_per_stage(self, tiny_scenario):
+        """Each collective stage accumulates modelled time on its own
+        communicator, so its reported deltas ignore the other stages."""
+        engine = ExecutionEngine(
+            PipelineConfig(), tiny_scenario.platform, nranks=tiny_scenario.nranks
+        )
+        comms = [step.comm for step in engine.steps if hasattr(step, "comm")]
+        assert len(comms) == 2
+        assert len({id(comm) for comm in comms}) == len(comms)
+
 
 @pytest.mark.parametrize("metric", ["VAR", "ITL", "TRILIN", "LEA", "FPZIP"])
 @pytest.mark.parametrize("redistribution", ["none", "round_robin"])
@@ -309,14 +340,14 @@ class TestBackendParity:
     def test_identical_trajectories(self, tiny_scenario, metric, redistribution):
         serial = self._trace(tiny_scenario, metric, redistribution, "serial")
         vector = self._trace(tiny_scenario, metric, redistribution, "vectorized")
-        par = self._trace(tiny_scenario, metric, redistribution, "parallel")
+        proc = self._trace(tiny_scenario, metric, redistribution, "process")
         assert serial == vector
-        assert serial == par
+        assert serial == proc
 
     def test_identical_scores_and_ids(self, tiny_scenario, metric, redistribution):
         blocks = tiny_scenario.blocks_for(0)
         traces = {}
-        for engine in ("serial", "vectorized", "parallel"):
+        for engine in ("serial", "vectorized", "process"):
             pipeline = tiny_scenario.build_pipeline(
                 metric=metric, redistribution=redistribution, engine=engine
             )
@@ -330,50 +361,25 @@ class TestBackendParity:
                 ],
             )
         assert traces["serial"] == traces["vectorized"]
-        assert traces["serial"] == traces["parallel"]
+        assert traces["serial"] == traces["process"]
 
 
-class TestParallelScoringStep:
-    """The parallel backend's chunking must never perturb scores."""
+class TestProcessScoringStep:
+    """The process backend's chunking must never perturb scores."""
 
     def test_scalar_metric_chunked_identically(self, tiny_scenario):
-        from repro.metrics.base import ScoreMetric
-
-        class Spiky(ScoreMetric):
-            """A user-style scalar metric with no batch implementation."""
-
-            name = "SPIKY"
-
-            def score_block(self, data):
-                return float(np.abs(np.asarray(data)).max())
-
         blocks = tiny_scenario.blocks_for(0)
         serial = ScoringStep(Spiky(), tiny_scenario.platform)
-        par = ParallelScoringStep(Spiky(), tiny_scenario.platform, max_workers=3)
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
+        proc = ProcessScoringStep(Spiky(), tiny_scenario.platform, max_workers=3)
+        assert serial.run(blocks)[0] == proc.run(blocks)[0]
 
     def test_score_blocks_override_not_chunked(self, tiny_scenario):
-        from repro.metrics.base import ScoreMetric
-
-        class RankNormalized(ScoreMetric):
-            """Cross-block semantics: chunking would change the peak."""
-
-            name = "RANKNORM"
-
-            def score_block(self, data):
-                return float(np.ptp(np.asarray(data)))
-
-            def score_blocks(self, blocks):
-                raw = [self.score_block(b) for b in blocks]
-                peak = max(raw) or 1.0
-                return [r / peak for r in raw]
-
         blocks = tiny_scenario.blocks_for(0)
         serial = ScoringStep(RankNormalized(), tiny_scenario.platform)
-        par = ParallelScoringStep(
+        proc = ProcessScoringStep(
             RankNormalized(), tiny_scenario.platform, max_workers=3
         )
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
+        assert serial.run(blocks)[0] == proc.run(blocks)[0]
 
     def test_batch_metric_chunked_identically(self, tiny_scenario):
         from repro.metrics.registry import create_metric
@@ -381,16 +387,16 @@ class TestParallelScoringStep:
         blocks = tiny_scenario.blocks_for(0)
         # max_workers=2 forces several chunks per shape group.
         serial = ScoringStep(create_metric("FPZIP"), tiny_scenario.platform)
-        par = ParallelScoringStep(
+        proc = ProcessScoringStep(
             create_metric("FPZIP"), tiny_scenario.platform, max_workers=2
         )
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
+        assert serial.run(blocks)[0] == proc.run(blocks)[0]
 
     def test_max_workers_validated(self, tiny_scenario):
         from repro.metrics.registry import create_metric
 
         with pytest.raises(ValueError):
-            ParallelScoringStep(
+            ProcessScoringStep(
                 create_metric("VAR"), tiny_scenario.platform, max_workers=0
             )
 
@@ -416,13 +422,11 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode=render_mode)
         vector = VectorizedRenderingStep(platform, render_mode=render_mode)
-        # max_workers=3 forces several chunks across the 4 ranks.
-        parallel = ParallelRenderingStep(
-            platform, render_mode=render_mode, max_workers=3
-        )
+        # max_workers=3 forces several chunks per shape group.
+        proc = ProcessRenderingStep(platform, render_mode=render_mode, max_workers=3)
         reference = self._observable(serial, blocks)
         assert self._observable(vector, blocks) == reference
-        assert self._observable(parallel, blocks) == reference
+        assert self._observable(proc, blocks) == reference
 
     def test_parity_with_reduced_blocks(self, tiny_scenario):
         from repro.grid.reduction import reduce_block
@@ -434,39 +438,41 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode="count")
         vector = VectorizedRenderingStep(platform, render_mode="count")
-        parallel = ParallelRenderingStep(platform, render_mode="count", max_workers=3)
+        proc = ProcessRenderingStep(platform, render_mode="count", max_workers=3)
         reference = self._observable(serial, blocks)
         assert self._observable(vector, blocks) == reference
-        assert self._observable(parallel, blocks) == reference
+        assert self._observable(proc, blocks) == reference
 
-    def test_parallel_mesh_preserves_merged_mesh(self, tiny_scenario):
-        """Mesh-mode chunking must reassemble per-block meshes in block order,
-        so the merged per-rank mesh is identical to the serial backend's."""
+    def test_mesh_backends_preserve_merged_mesh(self, tiny_scenario):
+        """Batched mesh mode must merge per-block meshes in block order, so
+        the merged per-rank mesh is identical to the serial backend's."""
         blocks = tiny_scenario.blocks_for(0)
         platform = tiny_scenario.platform
         serial_results, _ = RenderingStep(platform, render_mode="mesh").run(blocks, 0)
-        parallel_results, _ = ParallelRenderingStep(
-            platform, render_mode="mesh", max_workers=3
-        ).run(blocks, 0)
-        for serial_result, parallel_result in zip(serial_results, parallel_results):
-            np.testing.assert_array_equal(
-                parallel_result.mesh.vertices, serial_result.mesh.vertices
-            )
-            np.testing.assert_array_equal(
-                parallel_result.mesh.triangles, serial_result.mesh.triangles
-            )
+        for step in (
+            VectorizedRenderingStep(platform, render_mode="mesh"),
+            ProcessRenderingStep(platform, render_mode="mesh", max_workers=3),
+        ):
+            results, _ = step.run(blocks, 0)
+            for serial_result, result in zip(serial_results, results):
+                np.testing.assert_array_equal(
+                    result.mesh.vertices, serial_result.mesh.vertices
+                )
+                np.testing.assert_array_equal(
+                    result.mesh.triangles, serial_result.mesh.triangles
+                )
 
-    def test_parallel_handles_empty_ranks(self, tiny_scenario):
+    def test_process_handles_empty_ranks(self, tiny_scenario):
         platform = tiny_scenario.platform
         blocks = [list(tiny_scenario.blocks_for(0)[0]), [], []]
         for mode in ("count", "mesh"):
             serial = RenderingStep(platform, render_mode=mode)
-            parallel = ParallelRenderingStep(platform, render_mode=mode, max_workers=2)
-            assert self._observable(parallel, blocks) == self._observable(serial, blocks)
+            proc = ProcessRenderingStep(platform, render_mode=mode, max_workers=2)
+            assert self._observable(proc, blocks) == self._observable(serial, blocks)
 
     def test_max_workers_validated(self, tiny_scenario):
         with pytest.raises(ValueError):
-            ParallelRenderingStep(tiny_scenario.platform, max_workers=0)
+            ProcessRenderingStep(tiny_scenario.platform, max_workers=0)
 
 
 def test_backends_identical_in_mesh_mode(tiny_scenario):
@@ -490,172 +496,7 @@ def test_backends_identical_in_mesh_mode(tiny_scenario):
 
     serial = trace("serial")
     assert trace("vectorized") == serial
-    assert trace("parallel") == serial
-
-
-class TestStageGraph:
-    """The explicit dependency graph behind the pipelined scheduler."""
-
-    def test_graph_matches_step_sequence(self):
-        assert tuple(spec.name for spec in STAGE_GRAPH) == STEP_NAMES
-
-    def test_linear_chain(self):
-        """Each stage depends exactly on its predecessor (Figure 2 order)."""
-        assert STAGE_GRAPH[0].after == ()
-        for prev, spec in zip(STAGE_GRAPH, STAGE_GRAPH[1:]):
-            assert spec.after == (prev.name,)
-
-    def test_dependencies_are_data_driven(self):
-        """Every declared dependency is justified by a read of state the
-        dependency (or an earlier stage) writes."""
-        written = set()
-        for spec in STAGE_GRAPH:
-            assert spec.reads, spec.name
-            assert spec.writes, spec.name
-            if spec.after:
-                assert set(spec.reads) & written, spec.name
-            written |= set(spec.writes)
-
-    def test_all_stages_serial_across_iterations(self):
-        for spec in STAGE_GRAPH:
-            assert spec.serial_across_iterations
-
-    def test_stage_spec_lookup(self):
-        assert stage_spec("scoring") is STAGE_GRAPH[0]
-        assert stage_spec("rendering").after == ("redistribution",)
-
-    def test_unknown_stage_gets_conservative_spec(self):
-        spec = stage_spec("composition")
-        assert spec.after == STEP_NAMES
-        assert spec.serial_across_iterations
-
-
-class TestPipelinedEngine:
-    def _inputs(self, scenario, percents=(50.0, 25.0, 75.0)):
-        return [
-            (scenario.blocks_for(i % 3), percent, i)
-            for i, percent in enumerate(percents)
-        ]
-
-    def _engine(self, scenario, cls=PipelinedEngine):
-        return cls(
-            PipelineConfig(redistribution="round_robin"),
-            scenario.platform,
-            nranks=scenario.nranks,
-        )
-
-    @staticmethod
-    def _observable(context):
-        return (
-            context.iteration,
-            context.percent,
-            context.per_rank_pairs,
-            context.sorted_pairs,
-            sorted(context.reduced_ids),
-            {
-                name: (
-                    report.modelled_per_rank,
-                    report.payload_bytes,
-                    report.counters,
-                    report.per_rank_counters,
-                )
-                for name, report in context.reports.items()
-            },
-        )
-
-    def test_matches_sequential_engine_bitwise(self, tiny_scenario):
-        inputs = self._inputs(tiny_scenario)
-        sequential = self._engine(tiny_scenario, cls=ExecutionEngine)
-        overlapped = self._engine(tiny_scenario)
-        expected = [
-            self._observable(sequential.run_iteration(*item)) for item in inputs
-        ]
-        contexts = overlapped.run_iterations(inputs)
-        assert [self._observable(c) for c in contexts] == expected
-
-    def test_on_complete_fires_in_iteration_order(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        seen = []
-
-        def on_complete(index, context):
-            # At callback time the iteration is fully processed.
-            assert set(context.reports) == set(STEP_NAMES)
-            seen.append(index)
-
-        engine.run_iterations(self._inputs(tiny_scenario), on_complete=on_complete)
-        assert seen == [0, 1, 2]
-
-    def test_empty_inputs(self, tiny_scenario):
-        assert self._engine(tiny_scenario).run_iterations([]) == []
-
-    def test_input_validation_happens_up_front(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        with pytest.raises(ValueError):
-            engine.run_iterations([([[]], 0.0, 0)])  # wrong rank count
-        with pytest.raises(ValueError):
-            engine.run_iterations([(tiny_scenario.blocks_for(0), 120.0, 0)])
-
-    def test_stage_error_propagates_without_deadlock(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        calls = []
-
-        def boom(context):
-            calls.append(context.iteration)
-            raise RuntimeError("poisoned stage")
-
-        engine.steps[2].execute = boom  # reduction, mid-chain
-        completed = []
-        with pytest.raises(RuntimeError, match="poisoned stage"):
-            engine.run_iterations(
-                self._inputs(tiny_scenario),
-                on_complete=lambda i, c: completed.append(i),
-            )
-        # The failing stage ran at most once per iteration before the stop
-        # flag drained the scheduler, and no poisoned iteration was reported
-        # complete after the failure.
-        assert calls and calls[0] == 0
-        assert completed == []
-
-    def test_raising_on_complete_cancels_run_without_deadlock(self, tiny_scenario):
-        """A raising ``on_complete`` poisons the run like a failing stage:
-        the scheduler drains (no deadlocked stage threads) and the callback's
-        exception re-raises; later iterations are never reported complete."""
-
-        class Cancel(Exception):
-            pass
-
-        completed = []
-
-        def cancel_after_first(index, context):
-            completed.append(index)
-            raise Cancel(f"stop at {index}")
-
-        engine = self._engine(tiny_scenario)
-        with pytest.raises(Cancel, match="stop at 0"):
-            engine.run_iterations(
-                self._inputs(tiny_scenario), on_complete=cancel_after_first
-            )
-        assert completed == [0]
-
-    def test_private_communicators_per_stage(self, tiny_scenario):
-        """Overlapped stages must not share virtual network clocks."""
-        engine = self._engine(tiny_scenario)
-        comms = {id(step.comm) for step in engine.steps if hasattr(step, "comm")}
-        assert len(comms) == sum(1 for s in engine.steps if hasattr(s, "comm"))
-
-    def test_explicit_comm_still_validates_rank_count(self, tiny_scenario):
-        from repro.simmpi.communicator import BSPCommunicator
-
-        wrong = BSPCommunicator(
-            tiny_scenario.nranks + 1, cost_model=tiny_scenario.platform.network
-        )
-        with pytest.raises(ValueError):
-            PipelinedEngine(
-                PipelineConfig(),
-                tiny_scenario.platform,
-                nranks=tiny_scenario.nranks,
-                comm=wrong,
-            )
+    assert trace("process") == serial
 
 
 class TestMonitorStepReportQueries:

@@ -112,6 +112,26 @@ class TestPipelineIntegration:
         assert run.niterations == 2
         assert run.mean_modelled_rendering() > 0
 
+    def test_raising_on_iteration_stops_run(self, tiny_scenario):
+        """An ``on_iteration`` callback that raises (serve cancellation)
+        stops the run between iterations and propagates unchanged."""
+
+        class Cancel(Exception):
+            pass
+
+        seen = []
+
+        def cancel_after_first(result):
+            seen.append(result.iteration)
+            raise Cancel("stop")
+
+        pipeline = tiny_scenario.build_pipeline()
+        blocks = [tiny_scenario.blocks_for(i) for i in range(3)]
+        with pytest.raises(Cancel):
+            pipeline.run(blocks, percent_override=50.0, on_iteration=cancel_after_first)
+        assert seen == [0]
+        assert pipeline.monitor.to_run_result({}).niterations == 1
+
     def test_config_summary_contents(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(metric="LEA", redistribution="shuffle")
         summary = pipeline.config_summary()

@@ -16,7 +16,6 @@ from repro.core.redistribution import (
 )
 from repro.core.reduction_step import (
     DEFAULT_QUALITY_LADDER,
-    ParallelReductionStep,
     ReductionStep,
     VectorizedReductionStep,
     select_blocks_to_reduce,
@@ -182,7 +181,7 @@ class TestReductionSelection:
 
 
 class TestReductionBackends:
-    """Vectorized/parallel reduction must be bitwise identical to serial."""
+    """Vectorized reduction must be bitwise identical to serial."""
 
     def _pairs(self, per_rank_blocks):
         return sorted(
@@ -199,21 +198,17 @@ class TestReductionBackends:
         pairs = self._pairs(per_rank_blocks)
         serial = ReductionStep(platform)
         vector = VectorizedReductionStep(platform)
-        parallel = ParallelReductionStep(platform, max_workers=3)
         s_out, s_ids, s_info = serial.run(per_rank_blocks, pairs, percent)
-        for step in (vector, parallel):
-            out, ids, info = step.run(per_rank_blocks, pairs, percent)
-            assert ids == s_ids
-            assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
-            assert info["nreduced"] == s_info["nreduced"]
-            for s_blocks, blocks in zip(s_out, out):
-                assert [b.block_id for b in blocks] == [
-                    b.block_id for b in s_blocks
-                ]
-                for s_blk, blk in zip(s_blocks, blocks):
-                    assert blk.reduced == s_blk.reduced
-                    assert blk.data.dtype == s_blk.data.dtype
-                    np.testing.assert_array_equal(blk.data, s_blk.data)
+        out, ids, info = vector.run(per_rank_blocks, pairs, percent)
+        assert ids == s_ids
+        assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
+        assert info["nreduced"] == s_info["nreduced"]
+        for s_blocks, blocks in zip(s_out, out):
+            assert [b.block_id for b in blocks] == [b.block_id for b in s_blocks]
+            for s_blk, blk in zip(s_blocks, blocks):
+                assert blk.reduced == s_blk.reduced
+                assert blk.data.dtype == s_blk.data.dtype
+                np.testing.assert_array_equal(blk.data, s_blk.data)
 
     def test_already_reduced_blocks_left_alone(self, per_rank_blocks, platform):
         from repro.grid.reduction import reduce_block
@@ -222,11 +217,7 @@ class TestReductionBackends:
             [reduce_block(b) for b in blocks] for blocks in per_rank_blocks
         ]
         pairs = self._pairs(per_rank_blocks)
-        for step in (
-            ReductionStep(platform),
-            VectorizedReductionStep(platform),
-            ParallelReductionStep(platform, max_workers=2),
-        ):
+        for step in (ReductionStep(platform), VectorizedReductionStep(platform)):
             out, _, info = step.run(pre_reduced, pairs, 100.0)
             for before, after in zip(pre_reduced, out):
                 # Reducing a reduced block is a no-op returning the block.
@@ -248,10 +239,6 @@ class TestReductionBackends:
         _, _, a = with_platform.run(per_rank_blocks, pairs, 50.0)
         _, _, b = without_platform.run(per_rank_blocks, pairs, 50.0)
         assert a["modelled_per_rank"] == b["modelled_per_rank"]
-
-    def test_max_workers_validated(self, platform):
-        with pytest.raises(ValueError):
-            ParallelReductionStep(platform, max_workers=0)
 
 
 class TestQualityLadder:
@@ -310,19 +297,16 @@ class TestQualityLadder:
         pairs = self._pairs(per_rank_blocks)
         serial = ReductionStep(platform, quality_ladder=ladder)
         s_out, s_ids, s_info = serial.run(per_rank_blocks, pairs, 60.0)
-        for step in (
-            VectorizedReductionStep(platform, quality_ladder=ladder),
-            ParallelReductionStep(platform, max_workers=3, quality_ladder=ladder),
-        ):
-            out, ids, info = step.run(per_rank_blocks, pairs, 60.0)
-            assert ids == s_ids
-            assert info["reduction_levels"] == s_info["reduction_levels"]
-            assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
-            assert info["points_copied"] == s_info["points_copied"]
-            for s_blocks, blocks in zip(s_out, out):
-                for s_blk, blk in zip(s_blocks, blocks):
-                    assert blk.level == s_blk.level
-                    np.testing.assert_array_equal(blk.data, s_blk.data)
+        vector = VectorizedReductionStep(platform, quality_ladder=ladder)
+        out, ids, info = vector.run(per_rank_blocks, pairs, 60.0)
+        assert ids == s_ids
+        assert info["reduction_levels"] == s_info["reduction_levels"]
+        assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
+        assert info["points_copied"] == s_info["points_copied"]
+        for s_blocks, blocks in zip(s_out, out):
+            for s_blk, blk in zip(s_blocks, blocks):
+                assert blk.level == s_blk.level
+                np.testing.assert_array_equal(blk.data, s_blk.data)
 
     def test_ladder_produces_mixed_levels(self, per_rank_blocks, platform):
         ladder = ((2, 0.5), (1, 0.5))

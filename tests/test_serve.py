@@ -30,6 +30,9 @@ from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
+#: A field of a removed execution option: now an unknown field like any other.
+REMOVED_FIELD = {"pipelined": False}
+
 
 def _tiny_config(**overrides):
     return get_scenario("tiny").build(**overrides)
@@ -225,18 +228,18 @@ class TestRunRequest:
     def test_minimal_payload(self):
         request = RunRequest.from_payload({"scenario": "tiny"})
         assert request.scenario == "tiny"
-        assert request.pipelined is True
+        assert request.percent is None and request.target is None
 
     def test_full_payload(self):
         request = RunRequest.from_payload(
             {
                 "scenario": "tiny", "ranks": 4, "snapshots": 3, "seed": 7,
                 "metric": "VAR", "redistribution": "shuffle", "percent": 40.0,
-                "render_mode": "mesh", "backend": "serial", "pipelined": False,
+                "target": 12.5, "render_mode": "mesh", "backend": "serial",
             }
         )
         assert request.ranks == 4 and request.backend == "serial"
-        assert request.pipelined is False
+        assert request.percent == 40.0 and request.target == 12.5
 
     def test_timeout_parsed(self):
         request = RunRequest.from_payload({"scenario": "tiny", "timeout_s": 2.5})
@@ -255,6 +258,12 @@ class TestRunRequest:
             {"scenario": "tiny", "backend": "quantum"},
             {"scenario": "tiny", "timeout_s": 0},
             {"scenario": "tiny", "timeout_s": -1.5},
+            {"scenario": "tiny", **REMOVED_FIELD},
+            {"scenario": "tiny", "percent": 150},
+            {"scenario": "tiny", "percent": -1},
+            {"scenario": "tiny", "percent": float("nan")},
+            {"scenario": "tiny", "target": 0},
+            {"scenario": "tiny", "target": float("nan")},
             "not an object",
         ],
     )
@@ -320,7 +329,7 @@ def _assert_run_stream(events, iterations):
         }
     summary = events[-1]
     assert summary["run"]["iterations"] == iterations
-    assert summary["config"]["pipelined"] in (True, False)
+    assert summary["config"]["engine"] in ("serial", "vectorized", "process")
 
 
 class TestServeApp:
@@ -365,6 +374,31 @@ class TestServeApp:
                 )
                 assert status == 400
                 assert "metric" in json.loads(raw)["error"]
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            (REMOVED_FIELD, "unknown request fields"),
+            ({"percent": 150}, "percent must be in [0, 100]"),
+            ({"percent": -1}, "percent must be in [0, 100]"),
+            ({"percent": float("nan")}, "percent must be in [0, 100]"),
+            ({"target": 0}, "target must be > 0"),
+        ],
+    )
+    def test_invalid_fields_400_before_stream(self, tmp_path, fields, reason):
+        """Invalid fields get a JSON 400 with a reason — never a 200 header
+        followed by a mid-stream failure."""
+
+        async def body():
+            async with serve_app(tmp_path) as (app, port):
+                status, raw = await _request(
+                    port, "POST", "/run", {"scenario": "tiny", **fields}
+                )
+                assert status == 400
+                assert reason in json.loads(raw)["error"]
+                assert app.executor_stats()["completed"] == 0
 
         asyncio.run(body())
 
@@ -586,7 +620,6 @@ class TestServeApp:
                             "scenario": "tiny",
                             "snapshots": 12,
                             "backend": "serial",
-                            "pipelined": False,
                         },
                     )
                 )
@@ -676,11 +709,15 @@ class TestServeAppProcessTier:
 # -- the real subprocess entry point ------------------------------------------
 
 
-def _spawn_serve(env, *extra_args):
-    """Start ``python -m repro serve`` and return ``(proc, port)``."""
+def _spawn_serve(env, *extra_args, new_session=False):
+    """Start ``python -m repro serve`` and return ``(proc, port)``.
+
+    ``new_session=True`` makes the server lead its own process group, so a
+    test can find every process it left behind.
+    """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *extra_args],
-        stderr=subprocess.PIPE, text=True, env=env,
+        stderr=subprocess.PIPE, text=True, env=env, start_new_session=new_session,
     )
     port = None
     deadline = time.monotonic() + 60
@@ -705,6 +742,30 @@ def _post_run_events(port, payload, timeout=120):
     with urllib.request.urlopen(request, timeout=timeout) as response:
         assert response.status == 200
         return _events(response.read())
+
+
+def _group_members(pgid):
+    """PIDs of live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(entry.name))
+    return members
+
+
+def _shm_segments():
+    """Names of the POSIX shared-memory segments Python created."""
+    try:
+        return {p.name for p in Path("/dev/shm").iterdir() if p.name.startswith("psm_")}
+    except OSError:
+        return set()
 
 
 def _get_json(port, path, timeout=30):
@@ -775,6 +836,37 @@ class TestServeSubprocess:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+    def test_sigterm_drains_process_tier(self, env, tmp_path):
+        """SIGTERM drains like SIGINT: exit code 0, the pool workers and the
+        manager exit with the server, and no shared-memory segment is left."""
+        import signal
+
+        segments_before = _shm_segments()
+        proc, port = _spawn_serve(
+            env,
+            "--cache-dir", str(tmp_path / "cache"),
+            "--workers", "2",
+            "--execution", "process",
+            new_session=True,
+        )
+        pgid = proc.pid
+        try:
+            _assert_run_stream(_post_run_events(port, TINY_RUN), iterations=2)
+            assert len(_group_members(pgid)) > 1  # the pool is running
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5.0
+            while _group_members(pgid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _group_members(pgid) == []
+            assert _shm_segments() - segments_before == set()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
 
     def test_sigint_mid_run_exits_promptly(self, env, tmp_path):
         """The shutdown fix: SIGINT while a run is streaming must cancel the

@@ -1,9 +1,6 @@
-"""Tests for repro.simmpi: cost model, clocks, BSP communicator, SPMD runtime, sort."""
+"""Tests for repro.simmpi: cost model, clocks, BSP communicator, sort."""
 
 from __future__ import annotations
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -11,9 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simmpi.communicator import BSPCommunicator, _payload_nbytes
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.simmpi.rankcomm import RankCommunicator
-from repro.simmpi.processcomm import RemoteRankError
-from repro.simmpi.runtime import SimRuntime, SPMDError
 from repro.simmpi.sort import (
     parallel_sort_pairs,
     parallel_sort_pairs_numpy,
@@ -301,146 +295,6 @@ class TestBSPCommunicator:
             _payload_nbytes(Exploding())
 
 
-class TestSimRuntimeSPMD:
-    def test_allreduce_across_threads(self):
-        def program(comm):
-            return comm.allreduce(comm.Get_rank() + 1)
-
-        results = SimRuntime(4).run(program)
-        assert results == [10, 10, 10, 10]
-
-    def test_point_to_point_ring(self):
-        def program(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
-            comm.send(rank, dest=(rank + 1) % size, tag=5)
-            return comm.recv(source=(rank - 1) % size, tag=5)
-
-        results = SimRuntime(4).run(program)
-        assert results == [3, 0, 1, 2]
-
-    def test_isend_irecv(self):
-        def program(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
-            req_out = comm.isend(rank * 10, dest=(rank + 1) % size)
-            req_in = comm.irecv(source=(rank - 1) % size)
-            req_out.wait()
-            return req_in.wait()
-
-        results = SimRuntime(3).run(program)
-        assert results == [20, 0, 10]
-
-    def test_bcast_scatter_gather(self):
-        def program(comm):
-            rank = comm.Get_rank()
-            value = comm.bcast("payload" if rank == 0 else None, root=0)
-            part = comm.scatter([i * i for i in range(comm.Get_size())] if rank == 0 else None)
-            gathered = comm.gather(part, root=0)
-            return (value, part, gathered)
-
-        results = SimRuntime(3).run(program)
-        assert all(r[0] == "payload" for r in results)
-        assert [r[1] for r in results] == [0, 1, 4]
-        assert results[0][2] == [0, 1, 4]
-        assert results[1][2] is None
-
-    def test_alltoall(self):
-        def program(comm):
-            rank = comm.Get_rank()
-            return comm.alltoall([f"{rank}->{j}" for j in range(comm.Get_size())])
-
-        results = SimRuntime(3).run(program)
-        assert results[1] == ["0->1", "1->1", "2->1"]
-
-    def test_scan(self):
-        def program(comm):
-            return comm.scan(comm.Get_rank() + 1)
-
-        assert SimRuntime(4).run(program) == [1, 3, 6, 10]
-
-    def test_exception_propagates_as_spmd_error(self):
-        def program(comm):
-            if comm.Get_rank() == 1:
-                raise RuntimeError("boom")
-            return comm.Get_rank()
-
-        with pytest.raises(SPMDError):
-            SimRuntime(3, timeout=5.0).run(program)
-
-    def test_single_rank(self):
-        assert SimRuntime(1).run(lambda comm: comm.allreduce(5)) == [5]
-
-    def test_hung_ranks_share_one_join_deadline(self):
-        """N hung ranks fail after ~(timeout + grace), not N times that
-        (regression: each join used to wait its own full timeout)."""
-        import threading
-        import time
-
-        hang = threading.Event()  # released at the end of the test
-
-        def program(comm):
-            if comm.Get_rank() > 0:
-                hang.wait()
-            return comm.Get_rank()
-
-        runtime = SimRuntime(4, timeout=0.3, join_grace=0.2)
-        start = time.monotonic()
-        try:
-            with pytest.raises(SPMDError) as excinfo:
-                runtime.run(program)
-            elapsed = time.monotonic() - start
-            # The old per-thread accumulation took >= 3 * (timeout + grace).
-            assert elapsed < 2 * (runtime.timeout + runtime.join_grace)
-            assert {f.rank for f in excinfo.value.failures} == {1, 2, 3}
-            assert all(
-                isinstance(f.exception, TimeoutError)
-                for f in excinfo.value.failures
-            )
-        finally:
-            hang.set()
-
-    def test_join_grace_validated(self):
-        with pytest.raises(ValueError):
-            SimRuntime(2, join_grace=-1.0)
-
-    def test_raiser_and_hung_rank_reported_together(self):
-        """A hung rank must not mask a recorded exception (regression: the
-        synthetic TimeoutError used to be built from the hung set alone,
-        dropping the raiser that caused the hang in the first place)."""
-        hang = threading.Event()  # released at the end of the test
-
-        def program(comm):
-            rank = comm.Get_rank()
-            if rank == 1:
-                raise ValueError("root cause")
-            if rank == 2:
-                hang.wait()
-            return rank
-
-        runtime = SimRuntime(3, timeout=0.3, join_grace=0.2)
-        try:
-            with pytest.raises(SPMDError) as excinfo:
-                runtime.run(program)
-        finally:
-            hang.set()
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1, 2}
-        assert isinstance(failures[1], ValueError)  # the root cause survives
-        assert isinstance(failures[2], TimeoutError)
-        # Failures arrive sorted by rank for a stable error message.
-        assert [f.rank for f in excinfo.value.failures] == [1, 2]
-
-    def test_raiser_not_duplicated_by_hang_accounting(self):
-        """A rank that raised *and* whose thread is gone is reported once."""
-
-        def program(comm):
-            raise RuntimeError(f"rank {comm.Get_rank()} failed")
-
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(3, timeout=2.0).run(program)
-        assert [f.rank for f in excinfo.value.failures] == [0, 1, 2]
-        assert all(isinstance(f.exception, RuntimeError) for f in excinfo.value.failures)
-
-
 class TestParallelSort:
     def test_gather_sort_broadcast_matches_sequential(self):
         comm = BSPCommunicator(4)
@@ -577,108 +431,3 @@ class TestParallelSortNumpy:
         per_rank = [pairs[r::nranks] for r in range(nranks)]
         out = parallel_sort_pairs_numpy(comm, per_rank)
         assert out[0] == sorted(pairs, key=lambda p: (p[1], p[0]))
-
-
-# SPMD programs for the process runtime live at module level so they resolve
-# by qualified name in the rank processes regardless of start method.
-
-
-def _prog_allreduce(comm):
-    return comm.allreduce(comm.Get_rank() + 1)
-
-
-def _prog_ring(comm):
-    rank, size = comm.Get_rank(), comm.Get_size()
-    comm.send(rank, dest=(rank + 1) % size, tag=5)
-    return comm.recv(source=(rank - 1) % size, tag=5)
-
-
-def _prog_collectives(comm):
-    rank, size = comm.Get_rank(), comm.Get_size()
-    value = comm.bcast("payload" if rank == 0 else None, root=0)
-    part = comm.scatter([i * i for i in range(size)] if rank == 0 else None)
-    gathered = comm.gather(part, root=0)
-    everyone = comm.alltoall([f"{rank}->{j}" for j in range(size)])
-    prefix = comm.scan(rank + 1)
-    comm.barrier()
-    return (value, part, gathered, everyone, prefix)
-
-
-def _prog_sendrecv_swap(comm):
-    rank = comm.Get_rank()
-    partner = 1 - rank
-    return comm.sendrecv(f"from {rank}", dest=partner, source=partner)
-
-
-def _prog_raise_on_rank_one(comm):
-    if comm.Get_rank() == 1:
-        raise ValueError("rank one exploded")
-    return comm.Get_rank()
-
-
-def _prog_raise_or_hang(comm):
-    rank = comm.Get_rank()
-    if rank == 1:
-        raise ValueError("root cause")
-    if rank == 2:
-        time.sleep(30.0)  # hung until the runtime terminates the process
-    return rank
-
-
-def _prog_unpicklable_return(comm):
-    return threading.Lock()  # cannot cross the process boundary
-
-
-class TestSimRuntimeProcess:
-    """``mode="process"`` must behave like the thread runtime, observably."""
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            SimRuntime(2, mode="fibers")
-
-    def test_allreduce_matches_thread_mode(self):
-        expected = SimRuntime(4, mode="thread").run(_prog_allreduce)
-        assert SimRuntime(4, mode="process").run(_prog_allreduce) == expected
-
-    def test_point_to_point_ring(self):
-        results = SimRuntime(4, mode="process").run(_prog_ring)
-        assert results == [3, 0, 1, 2]
-
-    def test_sendrecv(self):
-        results = SimRuntime(2, mode="process").run(_prog_sendrecv_swap)
-        assert results == ["from 1", "from 0"]
-
-    def test_collectives_match_thread_mode(self):
-        expected = SimRuntime(3, mode="thread").run(_prog_collectives)
-        assert SimRuntime(3, mode="process").run(_prog_collectives) == expected
-
-    def test_single_rank(self):
-        assert SimRuntime(1, mode="process").run(_prog_allreduce) == [1]
-
-    def test_exception_propagates_with_original_type(self):
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(3, timeout=2.0, join_grace=1.0, mode="process").run(
-                _prog_raise_on_rank_one
-            )
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1}
-        assert isinstance(failures[1], ValueError)
-        assert "rank one exploded" in str(failures[1])
-
-    def test_raiser_and_hung_rank_reported_together(self):
-        """Same merge contract as thread mode: the recorded exception and
-        the hung rank's synthetic TimeoutError arrive in one SPMDError."""
-        runtime = SimRuntime(3, timeout=0.5, join_grace=0.5, mode="process")
-        with pytest.raises(SPMDError) as excinfo:
-            runtime.run(_prog_raise_or_hang)
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1, 2}
-        assert isinstance(failures[1], ValueError)
-        assert isinstance(failures[2], TimeoutError)
-
-    def test_unpicklable_return_reported_as_remote_error(self):
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(1, timeout=2.0, mode="process").run(_prog_unpicklable_return)
-        (failure,) = excinfo.value.failures
-        assert isinstance(failure.exception, RemoteRankError)
-        assert "unpicklable" in str(failure.exception)
