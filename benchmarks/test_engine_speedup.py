@@ -243,7 +243,8 @@ def test_reduction_ladder_quality_vs_cost(fine_scenario_64):
     )
 
 
-def test_fig11_full_pipeline_speedup(fine_scenario_64):
+@pytest.mark.parametrize("redistribution", ["round_robin", "shuffle"])
+def test_fig11_full_pipeline_speedup(fine_scenario_64, redistribution):
     """The whole fig11 iteration — all five Figure-2 steps — runs ≥3x faster
     on the vectorized backend than on the serial reference.
 
@@ -253,13 +254,15 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
     rendering speedups alone could not move the end-to-end number.  The
     measured iteration runs the fig11 configuration (VAR metric, round-robin
     redistribution) at a 50% reduction percentage, the middle of the
-    adaptive band the fig11 runs settle into.
+    adaptive band the fig11 runs settle into.  The shuffle row gates the
+    exchange-heavy case: a random shuffle moves almost every block, which is
+    where the batch-native owner relabel replaces the most per-Block work.
     """
     blocks = fine_scenario_64.blocks_for(0)
 
     def build(engine):
         return fine_scenario_64.build_pipeline(
-            metric="VAR", redistribution="round_robin", engine=engine
+            metric="VAR", redistribution=redistribution, engine=engine
         )
 
     serial = build("serial")
@@ -275,7 +278,8 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
         if speedup >= MIN_SPEEDUP:
             break
     record_bench(
-        gate="fig11_pipeline_speedup",
+        gate="fig11_pipeline_speedup"
+        + ("" if redistribution == "round_robin" else f"_{redistribution}"),
         scenario="blue_waters_64_fine",
         backend="vectorized",
         seconds=vector_seconds,
@@ -284,7 +288,7 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
         passed=speedup >= MIN_SPEEDUP,
     )
     print(
-        f"\nfig11 full pipeline 4096 blocks / 64 ranks: "
+        f"\nfig11 full pipeline ({redistribution}) 4096 blocks / 64 ranks: "
         f"serial {serial_seconds * 1e3:.1f} ms, "
         f"vectorized {vector_seconds * 1e3:.1f} ms, speedup {speedup:.1f}x"
     )

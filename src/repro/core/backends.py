@@ -38,7 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core.redistribution import RedistributionStep, RedistributionStrategy
+from repro.core.redistribution import (
+    RedistributionStep,
+    RedistributionStrategy,
+    VectorizedRedistributionStep,
+)
 from repro.core.reduction_step import (
     ReductionStep,
     VectorizedReductionStep,
@@ -236,7 +240,7 @@ register_step_backend(
 register_step_backend(
     "redistribution",
     "vectorized",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
+    lambda ctx: VectorizedRedistributionStep(ctx.strategy, ctx.comm),
 )
 register_step_backend(
     "rendering",
@@ -250,17 +254,18 @@ register_step_backend(
 
 # -- the "process" backend ------------------------------------------------------
 #
-# The two data-parallel hot steps fan out over the shared process pool with
-# payloads crossing zero-copy through grid.shm segments; the other three
-# steps deliberately reuse existing implementations:
+# The same batch-native state as "vectorized".  The two data-parallel hot
+# steps fan out over the shared process pool with the groups' payloads
+# crossing zero-copy through grid.shm segments; the other three steps
+# deliberately reuse the vectorized implementations:
 #
 # * sorting is a rooted collective (rank 0 sorts, everyone receives one
 #   broadcast) — there is no per-rank work to ship to another process;
 # * reduction reads 8 corner values per selected block, so shipping payloads
 #   to workers costs orders of magnitude more than the gather itself —
 #   the vectorised in-process pass is the faster "process" implementation;
-# * redistribution is a collective exchange plus a searchsorted/bincount
-#   planner that is already a single NumPy pass.
+# * redistribution is a collective exchange plus an owner relabel that is
+#   already a single NumPy pass.
 
 register_step_backend(
     "scoring",
@@ -280,7 +285,7 @@ register_step_backend(
 register_step_backend(
     "redistribution",
     "process",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
+    lambda ctx: VectorizedRedistributionStep(ctx.strategy, ctx.comm),
 )
 register_step_backend(
     "rendering",

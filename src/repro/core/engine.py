@@ -13,29 +13,29 @@ The ``backend`` selects how all five data-parallel steps are implemented:
 * ``"serial"`` — every step iterates blocks one at a time (the reference
   implementation, and the behaviour of the original hard-wired pipeline):
   per-block scoring through ``metric.score_blocks``, a Python ``sorted``
-  over the gathered score tuples, per-block corner reduction, and per-block
-  rendering through ``IsosurfaceScript.process``;
-* ``"vectorized"`` — every step runs over stacked shape-homogeneous arrays
-  (the :class:`~repro.grid.batch.BlockBatch` data layout): scoring runs one
-  ``score_batch`` call per cross-rank shape group, the sorting collective
-  sorts with one ``np.lexsort`` over the gathered ``(score, id)`` arrays,
-  reduction gathers each shape group's corners with one
-  ``reduce_to_corners_batch`` fancy-index pass, redistribution plans the
-  exchange with one ``searchsorted``/``bincount`` pass, and counting-mode
-  rendering runs one ``count_active_cells_batch`` call per shape group;
-* ``"process"`` — the vectorised grouping with scoring and rendering
+  over the gathered score tuples, per-block reduction, a per-Block exchange,
+  and per-block rendering through ``IsosurfaceScript.process``;
+* ``"vectorized"`` — the iteration is batch-native: :meth:`make_context`
+  stacks every rank's blocks once into one
+  :class:`~repro.grid.batch.BlockBatch` group per payload shape/dtype, and
+  the steps carry those arrays through all five stages.  Scoring runs one
+  ``score_batch`` call per group, sorting one ``np.lexsort`` over the
+  gathered ``(score, id)`` arrays, reduction one ``reduce_to_level_batch``
+  call per group and target level, redistribution relabels the owner arrays
+  (the exchange is still priced by the moved payload bytes), and
+  counting-mode rendering one ``count_active_cells_batch`` call per group.
+  ``Block`` objects are built only when a caller reads
+  ``context.per_rank_blocks`` (mesh-mode rendering does);
+* ``"process"`` — the same batch-native state, with scoring and rendering
   shipped to a process pool through shared memory, so GIL-bound per-block
-  work scales with cores; reduction and the collectives (sorting,
-  redistribution) share the vectorised path.
+  work scales with cores.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and
 triangle counts, modelled seconds) — measured wall-clock is the one quantity
-that legitimately differs; the vectorised backend is simply faster, because
-the per-block Python overhead of every hot loop collapses into a handful of
-NumPy calls.  Iterations run strictly one after another: Algorithm 1 feeds
-each iteration's time into the next.  A new backend plugs in by registering
-step factories under a new name.
+that legitimately differs.  Iterations run strictly one after another:
+Algorithm 1 feeds each iteration's time into the next.  A new backend plugs
+in by registering step factories under a new name.
 """
 
 from __future__ import annotations
@@ -166,19 +166,23 @@ class ExecutionEngine:
         percent: float,
         iteration: int,
     ) -> IterationContext:
-        """Validate one iteration's input and wrap it in a fresh context."""
+        """Validate one iteration's input and wrap it in a fresh context
+        (stacked once into ``groups`` when the steps are batch-native)."""
         if len(per_rank_blocks) != self.nranks:
             raise ValueError(
                 f"expected blocks for {self.nranks} ranks, got {len(per_rank_blocks)}"
             )
         if not (0.0 <= percent <= 100.0):
             raise ValueError(f"percent must be in [0, 100], got {percent}")
-        return IterationContext(
+        context = IterationContext(
             iteration=int(iteration),
             percent=float(percent),
             nranks=self.nranks,
             per_rank_blocks=[list(blocks) for blocks in per_rank_blocks],
         )
+        if any(getattr(step, "batch_native", False) for step in self.steps):
+            context.groups  # stack once per iteration, up front
+        return context
 
     def run_iteration(
         self,

@@ -7,14 +7,16 @@ modelled here by one personalised all-to-all.
 
 Strategies return their assignment as a pair of parallel NumPy arrays
 ``(block_ids, dest_ranks)`` — the vectorizable form the exchange planner
-consumes: per rank, every block's destination is resolved with one
-``np.searchsorted`` over the id-sorted assignment, the movers are grouped by
-destination with one stable ``argsort``/``bincount`` pass, and the per-
-destination send lists are sliced out of the grouped order — no per-block
-dict lookups anywhere on the planning path.  The per-destination payload
-lists carry blocks in exactly the order the historical dict-based planner
-produced (input order within each destination), so the exchange's payload
-bytes and modelled seconds are unchanged.
+consumes: every block's destination is resolved with one ``np.searchsorted``
+over the id-sorted assignment, and the movers are grouped by (source,
+destination) with one sort — no per-block dict lookups on the planning path.
+
+The exchange is priced by exactly the moved payload bytes: each non-empty
+``send_lists[src][dst]`` is a list of objects with an integer ``nbytes``
+(``Block`` objects in :meth:`RedistributionStrategy.redistribute`, payload
+rows in the batch-native :meth:`RedistributionStrategy.relabel`, which
+relabels owner arrays instead of rebuilding blocks).  Both paths make the
+same ``comm.alltoallv`` call, so they report the same bytes and seconds.
 
 Two strategies from the paper are provided, plus the no-op:
 
@@ -31,11 +33,12 @@ Two strategies from the paper are provided, plus the no-op:
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport
+from repro.core.step import BatchGroup, IterationContext, StepReport, cat, lookup
 from repro.grid.block import Block
 from repro.simmpi.communicator import BSPCommunicator
 from repro.utils.random import derive_seed, rng_from_seed
@@ -62,6 +65,47 @@ class RedistributionStrategy(abc.ABC):
     ) -> OwnerAssignment:
         """Return the assignment as parallel ``(block_ids, dest_ranks)`` arrays."""
 
+    def _plan(
+        self,
+        comm: BSPCommunicator,
+        sorted_pairs: Sequence[ScorePair],
+        iteration: int,
+        block_ids: np.ndarray,
+        src: np.ndarray,
+        order: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int, List[int]]]]:
+        """Destination of every block, the movers, and the messages.
+
+        Unassigned blocks stay put.  Each message is ``(src, dst, movers)``
+        with the movers in the source rank's list ``order``.
+        """
+        nranks = comm.nranks
+        ids, dests = (
+            np.asarray(a, dtype=np.int64)
+            for a in self.assign_owners(sorted_pairs, nranks, iteration)
+        )
+        by_id = np.argsort(ids, kind="stable")
+        dest = lookup(ids[by_id], dests[by_id], block_ids, src)
+        movers = np.flatnonzero(src != dest)
+        pair = src[movers] * nranks + dest[movers]
+        perm = np.lexsort((order[movers], pair))
+        movers, pair = movers[perm], pair[perm]
+        keys, starts = np.unique(pair, return_index=True)
+        bounds, rows = starts.tolist() + [movers.size], movers.tolist()
+        messages = [
+            (key // nranks, key % nranks, rows[lo:hi])
+            for key, lo, hi in zip(keys.tolist(), bounds[:-1], bounds[1:])
+        ]
+        return dest, movers, messages
+
+    @staticmethod
+    def _exchange(comm, messages, payload) -> List[List[object]]:
+        """``comm.alltoallv`` of ``payload(i)`` for every mover of every message."""
+        send_lists: List[List[object]] = [[None] * comm.nranks for _ in range(comm.nranks)]
+        for src, dst, movers in messages:
+            send_lists[src][dst] = [payload(i, dst) for i in movers]
+        return comm.alltoallv(send_lists)
+
     def redistribute(
         self,
         comm: BSPCommunicator,
@@ -75,78 +119,75 @@ class RedistributionStrategy(abc.ABC):
         info (measured wall-clock, modelled communication seconds, exchanged
         bytes).
         """
-        nranks = comm.nranks
-        assigned_ids, assigned_dests = self.assign_owners(
-            sorted_pairs, nranks, iteration
+        blocks = [b for rank_blocks in per_rank_blocks for b in rank_blocks]
+        src = np.repeat(np.arange(comm.nranks), [len(b) for b in per_rank_blocks])
+        ids = np.fromiter((b.block_id for b in blocks), np.int64, len(blocks))
+        dest, movers, messages = self._plan(
+            comm, sorted_pairs, iteration, ids, src, np.arange(len(blocks))
         )
-        assigned_ids = np.asarray(assigned_ids, dtype=np.int64)
-        assigned_dests = np.asarray(assigned_dests, dtype=np.int64)
-        order = np.argsort(assigned_ids, kind="stable")
-        ids_sorted = assigned_ids[order]
-        dests_sorted = assigned_dests[order]
         before = comm.communication_seconds()
         with Timer() as timer:
-            send_lists: List[List[object]] = [
-                [None] * nranks for _ in range(nranks)
-            ]
-            kept: List[List[Block]] = [[] for _ in range(nranks)]
-            moved_bytes = 0
-            moved_blocks = 0
-            for rank, blocks in enumerate(per_rank_blocks):
-                if not blocks:
-                    continue
-                block_ids = np.fromiter(
-                    (b.block_id for b in blocks), dtype=np.int64, count=len(blocks)
+            received = self._exchange(
+                comm, messages, lambda i, dst: blocks[i].with_owner(dst)
+            )
+            new_blocks: List[List[Block]] = [[] for _ in range(comm.nranks)]
+            for i in np.flatnonzero(src == dest).tolist():
+                rank, block = int(src[i]), blocks[i]
+                new_blocks[rank].append(
+                    block if block.owner == rank else block.with_owner(rank)
                 )
-                if ids_sorted.size:
-                    pos = np.minimum(
-                        np.searchsorted(ids_sorted, block_ids), ids_sorted.size - 1
-                    )
-                    assigned = ids_sorted[pos] == block_ids
-                    dest = np.where(assigned, dests_sorted[pos], rank)
-                else:
-                    dest = np.full(len(blocks), rank, dtype=np.int64)
-                staying = dest == rank
-                kept[rank] = [
-                    blocks[i] if blocks[i].owner == rank else blocks[i].with_owner(rank)
-                    for i in np.flatnonzero(staying)
-                ]
-                movers = np.flatnonzero(~staying)
-                if not movers.size:
-                    continue
-                mover_dest = dest[movers]
-                # Stable sort groups movers by destination while preserving
-                # input order within each destination (the order the payload
-                # lists have always carried).
-                grouped = movers[np.argsort(mover_dest, kind="stable")]
-                counts = np.bincount(mover_dest, minlength=nranks)
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                for dest_rank in np.flatnonzero(counts):
-                    payload = [
-                        blocks[i].with_owner(int(dest_rank))
-                        for i in grouped[bounds[dest_rank] : bounds[dest_rank + 1]]
-                    ]
-                    send_lists[rank][dest_rank] = payload
-                moved_blocks += int(movers.size)
-                moved_bytes += int(sum(blocks[i].nbytes for i in movers))
-            received = comm.alltoallv(send_lists)
-            new_blocks: List[List[Block]] = []
-            for rank in range(nranks):
-                mine = list(kept[rank])
-                for src in range(nranks):
-                    payload = received[rank][src]
-                    if payload:
-                        mine.extend(payload)
+            for mine, payloads in zip(new_blocks, received):
+                for payload in payloads:
+                    mine.extend(payload or ())
                 mine.sort(key=lambda b: b.block_id)
-                new_blocks.append(mine)
-        modelled = comm.communication_seconds() - before
         info = {
             "measured": timer.elapsed,
-            "modelled": modelled,
-            "moved_bytes": float(moved_bytes),
-            "moved_blocks": float(moved_blocks),
+            "modelled": comm.communication_seconds() - before,
+            "moved_bytes": float(sum(blocks[i].nbytes for i in movers.tolist())),
+            "moved_blocks": float(movers.size),
         }
         return new_blocks, info
+
+    def relabel(
+        self,
+        comm: BSPCommunicator,
+        groups: Sequence[BatchGroup],
+        sorted_pairs: Sequence[ScorePair],
+        iteration: int,
+    ) -> Tuple[List[BatchGroup], Dict[str, float]]:
+        """Batch-native :meth:`redistribute`: relabel the owner arrays.
+
+        The exchange is the same ``comm.alltoallv`` call with the same
+        non-empty (source, destination) entries, each the list of the moved
+        payload rows, so it is priced at exactly the moved payload bytes.
+        Every row's owner becomes its destination rank, and every rank's
+        list is ordered by block id afterwards, as in :meth:`redistribute`.
+        """
+        src = cat(g.ranks for g in groups)
+        dest, movers, messages = self._plan(
+            comm,
+            sorted_pairs,
+            iteration,
+            cat(g.batch.block_ids for g in groups),
+            src,
+            cat(g.order for g in groups),
+        )
+        before = comm.communication_seconds()
+        with Timer() as timer:
+            rows = [row for g in groups for row in g.batch.data]
+            self._exchange(comm, messages, lambda i, dst: rows[i])
+            offsets = np.cumsum([g.batch.nblocks for g in groups])[:-1]
+            relabelled = [
+                replace(g, batch=replace(g.batch, owners=d), ranks=d, order=g.batch.block_ids)
+                for g, d in zip(groups, np.split(dest, offsets))
+            ]
+        info = {
+            "measured": timer.elapsed,
+            "modelled": comm.communication_seconds() - before,
+            "moved_bytes": float(sum(rows[i].nbytes for i in movers.tolist())),
+            "moved_blocks": float(movers.size),
+        }
+        return relabelled, info
 
 
 class NoRedistribution(RedistributionStrategy):
@@ -179,13 +220,23 @@ class NoRedistribution(RedistributionStrategy):
                 ]
                 for rank, blocks in enumerate(per_rank_blocks)
             ]
-        info = {
-            "measured": timer.elapsed,
-            "modelled": 0.0,
-            "moved_bytes": 0.0,
-            "moved_blocks": 0.0,
-        }
-        return out, info
+        return out, self._no_exchange(timer.elapsed)
+
+    def relabel(
+        self,
+        comm: BSPCommunicator,
+        groups: Sequence[BatchGroup],
+        sorted_pairs: Sequence[ScorePair],
+        iteration: int,
+    ) -> Tuple[List[BatchGroup], Dict[str, float]]:
+        with Timer() as timer:
+            out = [replace(g, batch=replace(g.batch, owners=g.ranks)) for g in groups]
+        return out, self._no_exchange(timer.elapsed)
+
+    @staticmethod
+    def _no_exchange(measured: float) -> Dict[str, float]:
+        zero = {"modelled": 0.0, "moved_bytes": 0.0, "moved_blocks": 0.0}
+        return {"measured": measured, **zero}
 
 
 class RandomShuffle(RedistributionStrategy):
@@ -253,12 +304,19 @@ class RedistributionStep:
         self.strategy = strategy
         self.comm = comm
 
+    #: Whether the step exchanges the batch-native ``context.groups``
+    #: (:meth:`RedistributionStrategy.relabel`) instead of the blocks.
+    batch_native = False
+
     def execute(self, context: IterationContext) -> StepReport:
         """Exchange the context's blocks (PipelineStep contract)."""
-        new_blocks, info = self.strategy.redistribute(
-            self.comm, context.per_rank_blocks, context.require_sorted(), context.iteration
-        )
-        context.per_rank_blocks = new_blocks
+        args = (context.require_sorted(), context.iteration)
+        if self.batch_native:
+            context.groups, info = self.strategy.relabel(self.comm, context.groups, *args)
+        else:
+            context.per_rank_blocks, info = self.strategy.redistribute(
+                self.comm, context.per_rank_blocks, *args
+            )
         return StepReport.collective(
             self.name,
             measured=float(info["measured"]),
@@ -266,6 +324,12 @@ class RedistributionStep:
             payload_bytes=float(info["moved_bytes"]),
             counters={"moved_blocks": float(info["moved_blocks"])},
         )
+
+
+class VectorizedRedistributionStep(RedistributionStep):
+    """Redistribution of the batch-native state: no ``Block`` is cloned."""
+
+    batch_native = True
 
 
 def make_strategy(name: str, seed: int = 2016) -> RedistributionStrategy:

@@ -15,11 +15,11 @@ backend registry (the ``"process"`` backend uses the vectorised one):
 * :class:`ReductionStep` — the reference loop: every block is tested against
   the reduced-id set and reduced one :func:`~repro.grid.reduction.reduce_block`
   call at a time;
-* :class:`VectorizedReductionStep` — the selected blocks of *all* ranks are
-  grouped by payload shape/dtype (the
-  :func:`~repro.grid.batch.group_positions_by_shape` key every stacked hot
-  path shares) and each group's corners are gathered with one
-  :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index pass.
+* :class:`VectorizedReductionStep` — the selected rows of the batch-native
+  state (one stacked group per payload shape/dtype, carried from the
+  engine's single stacking pass) are gathered with one
+  :func:`~repro.grid.reduction.reduce_to_level_batch` fancy-index pass per
+  group and target level; no ``Block`` is cloned.
 
 All backends produce bitwise-identical reduced payloads and modelled seconds
 (the modelled cost is derived from
@@ -30,12 +30,12 @@ measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import group_positions_by_shape
+from repro.core.step import IterationContext, StepReport, cat, lookup
 from repro.grid.block import Block
 from repro.grid.reduction import reduce_block, reduce_to_level_batch
 from repro.perfmodel.platform import PlatformModel
@@ -251,16 +251,17 @@ class ReductionStep:
 
 
 class VectorizedReductionStep(ReductionStep):
-    """Reduces the selected blocks of all ranks in shape-grouped batches.
+    """Reduces the selected rows of the batch-native state, group by group.
 
     The reduction is embarrassingly parallel, so — like the vectorised
-    scoring step — the batch spans *across* ranks: every selected block of
-    the iteration is grouped by payload shape/dtype, each group's payloads
-    are stacked, and the corner values of the whole group are gathered with
-    one :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index
-    pass (bitwise equal to :func:`~repro.grid.reduction.reduce_to_corners`
-    per block).  A typical iteration has exactly one group: the full-block
-    shape of the decomposition.
+    scoring step — it spans *across* ranks: every
+    :class:`~repro.core.step.BatchGroup`'s rows are looked up in the ladder
+    decision, the rows below their target level are gathered with one
+    :func:`~repro.grid.reduction.reduce_to_level_batch` call per target
+    level, and the reduced rows become new groups (their payload shape
+    changed).  Rows already at or beyond their target are left as they are,
+    the no-op :func:`~repro.grid.reduction.reduce_block` performs.  Payloads
+    are bitwise those of reducing one block at a time.
 
     Measured wall-clock of the single pass is attributed to ranks
     proportionally to their selected-block counts (the convention the
@@ -269,44 +270,7 @@ class VectorizedReductionStep(ReductionStep):
     """
 
     name = "reduction"
-
-    def _selected_positions(
-        self, blocks: Sequence[Block], reduced_ids: "Set[int] | Dict[int, int]"
-    ) -> List[int]:
-        """Positions of the blocks the decision set selects (one scan)."""
-        return [
-            i for i, block in enumerate(blocks) if block.block_id in reduced_ids
-        ]
-
-    def _apply_selected(
-        self,
-        blocks: Sequence[Block],
-        selected: Sequence[int],
-        levels: Dict[int, int],
-    ) -> List[Block]:
-        """Reduced copies of ``blocks[selected]``, batched by target and shape.
-
-        Blocks already at (or beyond) their target level are left as-is (the
-        same no-op :func:`~repro.grid.reduction.reduce_block` performs); the
-        rest are bucketed by target ladder level, grouped by payload
-        shape/dtype within each bucket, and gathered with one
-        :func:`~repro.grid.reduction.reduce_to_level_batch` pass per group.
-        """
-        out = list(blocks)
-        by_level: Dict[int, List[int]] = {}
-        for i in selected:
-            target = levels[blocks[i].block_id]
-            if blocks[i].level < target:
-                by_level.setdefault(target, []).append(i)
-        for target in sorted(by_level):
-            targets = by_level[target]
-            for positions in group_positions_by_shape([blocks[i] for i in targets]):
-                indices = [targets[p] for p in positions]
-                stacked = np.stack([blocks[i].data for i in indices])
-                payloads = reduce_to_level_batch(stacked, target)
-                for row, i in enumerate(indices):
-                    out[i] = blocks[i].with_level_payload(payloads[row], target)
-        return out
+    batch_native = True
 
     def run(
         self,
@@ -314,47 +278,68 @@ class VectorizedReductionStep(ReductionStep):
         sorted_pairs: Sequence[ScorePair],
         percent: float,
     ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Reduce every rank's selected blocks in one cross-rank pass."""
-        levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
-        reduced_ids = set(levels)
-        with Timer() as timer:
-            all_blocks: List[Block] = []
-            rank_slices: List[Tuple[int, int]] = []
-            rank_selected: List[List[int]] = []
-            for blocks in per_rank_blocks:
-                offset = len(all_blocks)
-                rank_slices.append((offset, offset + len(blocks)))
-                rank_selected.append(
-                    [offset + i for i in self._selected_positions(blocks, levels)]
-                )
-                all_blocks.extend(blocks)
-            selected = [i for positions in rank_selected for i in positions]
-            new_all = self._apply_selected(all_blocks, selected, levels)
-        elapsed = timer.elapsed
+        """Block-list adapter: stack, reduce the groups, materialise."""
+        context = IterationContext(
+            0, percent, len(per_rank_blocks), per_rank_blocks, sorted_pairs=sorted_pairs
+        )
+        info = self.execute(context).info()
+        info["reduction_levels"] = context.reduction_levels
+        return context.per_rank_blocks, context.reduced_ids, info
 
-        out: List[List[Block]] = []
-        measured: List[float] = []
-        modelled: List[float] = []
-        points_total = 0
-        rank_counts = [len(positions) for positions in rank_selected]
-        total_count = sum(rank_counts)
-        for (lo, hi), positions, reduced_count in zip(
-            rank_slices, rank_selected, rank_counts
-        ):
-            out.append(new_all[lo:hi])
-            points_copied = sum(int(new_all[i].data.size) for i in positions)
-            measured.append(
-                elapsed * (reduced_count / total_count) if total_count else 0.0
-            )
-            modelled.append(self._reduction_seconds(reduced_count, points_copied))
-            points_total += points_copied
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "nreduced": len(reduced_ids),
-            "points_copied": points_total,
-            "reduction_levels": levels,
-        }
-        return out, reduced_ids, info
+    def execute(self, context: IterationContext) -> StepReport:
+        """Reduce the context's groups (PipelineStep contract)."""
+        levels = select_reduction_levels(
+            context.require_sorted(), context.percent, self.quality_ladder
+        )
+        keys = np.fromiter(levels, dtype=np.int64, count=len(levels))
+        targets = np.fromiter(levels.values(), dtype=np.int64, count=len(levels))
+        by_id = np.argsort(keys)
+        keys, targets = keys[by_id], targets[by_id]
+        with Timer() as timer:
+            groups, changed = [], False
+            for group in context.groups:
+                target = lookup(keys, targets, group.batch.block_ids, 0)
+                todo = target > group.batch.levels
+                if not todo.any():
+                    groups.append(group)
+                    continue
+                changed = True
+                if not todo.all():
+                    groups.append(group.take(~todo))
+                for level in np.unique(target[todo]).tolist():
+                    part = group.take(np.flatnonzero(todo & (target == level)))
+                    batch = replace(
+                        part.batch,
+                        data=reduce_to_level_batch(part.batch.data, level),
+                        levels=np.full(part.batch.nblocks, level, dtype=np.int64),
+                        reduced=np.ones(part.batch.nblocks, dtype=bool),
+                    )
+                    groups.append(replace(part, batch=batch))
+        if changed:  # an untouched state keeps its blocks, if it has any
+            context.groups = groups
+        context.reduced_ids = set(levels)
+        context.reduction_levels = levels
+        selected = cat(
+            (lookup(keys, targets, g.batch.block_ids, 0) > 0 for g in groups), bool
+        )
+        ranks = cat(g.ranks for g in groups)[selected]
+        counts = np.bincount(ranks, minlength=context.nranks)
+        points = np.bincount(
+            ranks,
+            weights=cat(g.row_points for g in groups)[selected],
+            minlength=context.nranks,
+        ).astype(np.int64)
+        total = int(counts.sum())
+        return StepReport(
+            step=self.name,
+            measured_per_rank=[
+                timer.elapsed * (int(c) / total) if total else 0.0 for c in counts
+            ],
+            modelled_per_rank=[
+                self._reduction_seconds(int(c), int(p)) for c, p in zip(counts, points)
+            ],
+            counters={
+                "nreduced": float(len(levels)),
+                "points_copied": float(points.sum()),
+            },
+        )

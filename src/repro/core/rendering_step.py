@@ -11,16 +11,16 @@ one contract, selected by ``PipelineConfig.engine``:
 
 * :class:`RenderingStep` — the reference loop: every rank's blocks go through
   ``IsosurfaceScript.process`` one block at a time;
-* :class:`VectorizedRenderingStep` — counting mode groups each rank's blocks
-  by payload shape (the :class:`~repro.grid.batch.BlockBatch` layout; all
-  reduced 2×2×2 blocks form one stacked group) and counts every group with a
-  single vectorised ``count_active_cells_batch`` pass.  Mesh mode extracts
-  real geometry, which cannot be stacked, and falls back to the reference
-  per-block extraction;
+* :class:`VectorizedRenderingStep` — counting mode counts every group of
+  the batch-native state (one stacked :class:`~repro.grid.batch.BlockBatch`
+  per payload shape/dtype) with a single vectorised
+  ``count_active_cells_batch`` pass and aggregates the counts per rank.
+  Mesh mode extracts real geometry, which cannot be stacked: it
+  materialises the blocks once and runs the reference per-block extraction;
 * :class:`ProcessRenderingStep` — counting mode fanned out over the shared
   process pool, payloads crossing zero-copy through
   :class:`~repro.grid.shm.SharedBlockBatch` segments (mesh mode falls back
-  to the vectorised path).
+  to the reference loop).
 
 All backends produce identical counts, triangle estimates, and modelled
 seconds — measured wall-clock is the one quantity that legitimately differs.
@@ -28,21 +28,16 @@ seconds — measured wall-clock is the one quantity that legitimately differs.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import group_positions_by_shape
+from repro.core.step import IterationContext, StepReport, cat
 from repro.grid.block import Block
-from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
+from repro.grid.shm import SharedBlockBatch, ShmBatchHandle, map_shared
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.procpool import (
-    chunk_bounds,
-    default_process_workers,
-    shared_process_pool,
-)
+from repro.utils.procpool import default_process_workers, shared_process_pool
 from repro.utils.timer import Timer
 from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
 from repro.viz.marching_cubes import count_active_cells_batch
@@ -94,20 +89,21 @@ class RenderingStep:
             triangle counts (used for load-imbalance analyses).
         """
         results = self._render_all(per_rank_blocks, iteration)
-        modelled: List[float] = []
-        measured: List[float] = []
-        triangles: List[int] = []
-        for blocks, result in zip(per_rank_blocks, results):
-            measured.append(result.measured_seconds)
-            triangles.append(result.ntriangles)
-            modelled.append(
-                self.platform.render.rank_seconds(
-                    ntriangles=result.ntriangles,
-                    npoints=result.npoints,
-                    nblocks=len(blocks),
-                )
+        return results, self._summarise(results, [len(b) for b in per_rank_blocks])
+
+    def _summarise(
+        self, results: Sequence[RenderResult], nblocks: Sequence[int]
+    ) -> Dict[str, object]:
+        """Timing summary of per-rank results (see :meth:`run`)."""
+        measured = [result.measured_seconds for result in results]
+        triangles = [result.ntriangles for result in results]
+        modelled = [
+            self.platform.render.rank_seconds(
+                ntriangles=result.ntriangles, npoints=result.npoints, nblocks=count
             )
-        info = {
+            for result, count in zip(results, nblocks)
+        ]
+        return {
             "measured_per_rank": measured,
             "modelled_per_rank": modelled,
             "triangles_per_rank": triangles,
@@ -115,12 +111,14 @@ class RenderingStep:
             "modelled_max": max(modelled) if modelled else 0.0,
             "total_triangles": int(sum(triangles)),
         }
-        return results, info
 
     def execute(self, context: IterationContext) -> StepReport:
         """Render the context's blocks (PipelineStep contract)."""
         results, info = self.run(context.per_rank_blocks, context.iteration)
         context.render_results = results
+        return self._report(info)
+
+    def _report(self, info: Dict[str, object]) -> StepReport:
         return StepReport(
             step=self.name,
             measured_per_rank=list(info["measured_per_rank"]),
@@ -133,58 +131,65 @@ class RenderingStep:
 
 
 class VectorizedRenderingStep(RenderingStep):
-    """Rendering through the script's shape-grouped batch path.
+    """Rendering of the batch-native state, one count per shape group.
 
     Counting mode — the cheap load proxy the large virtual-rank experiments
     run — batches *across* ranks, exactly like the vectorised scoring step:
-    every block of the iteration is grouped by payload shape (the
-    :class:`~repro.grid.batch.BlockBatch` layout; all reduced 2×2×2 blocks
-    form one stacked group) and each group is counted with a single
-    ``count_active_cells_batch`` pass, so the whole iteration costs a
-    handful of NumPy calls instead of one Python iteration per block.
-    Counts, triangle estimates, and modelled seconds are bitwise identical
-    to :class:`RenderingStep`'s; only measured wall-clock differs, and the
+    every :class:`~repro.core.step.BatchGroup` of the context is counted with
+    a single ``count_active_cells_batch`` pass over its stacked payload, and
+    the counts are aggregated per rank, so the whole iteration costs a
+    handful of NumPy calls and builds no ``Block``.  Counts, triangle
+    estimates, and modelled seconds are bitwise identical to
+    :class:`RenderingStep`'s; only measured wall-clock differs, and the
     single pass's elapsed time is attributed to ranks proportionally to
     their payload point counts (the convention the scoring step set).  Mesh
-    mode extracts per-block geometry, which cannot be stacked, and is
-    identical to the reference loop.
+    mode extracts per-block geometry, which cannot be stacked: it reads the
+    materialised ``context.per_rank_blocks`` and runs the reference loop.
     """
 
-    def _render_all(
+    batch_native = True
+
+    def _count_groups(self, payloads: List[np.ndarray]) -> List[np.ndarray]:
+        """Active-cell counts of every stacked payload (the backend hook)."""
+        return [count_active_cells_batch(p, self.script.level) for p in payloads]
+
+    def run(
         self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
+    ) -> Tuple[List[RenderResult], Dict[str, object]]:
+        """Block-list adapter: stack, render the groups."""
         if self.script.mode != "count":
-            return [
-                self.script.process_batch(blocks, iteration)
-                for blocks in per_rank_blocks
-            ]
-        all_blocks: List[Block] = []
-        rank_slices: List[Tuple[int, int]] = []
-        for blocks in per_rank_blocks:
-            rank_slices.append((len(all_blocks), len(all_blocks) + len(blocks)))
-            all_blocks.extend(blocks)
+            return RenderingStep.run(self, per_rank_blocks, iteration)
+        context = IterationContext(iteration, 0.0, len(per_rank_blocks), per_rank_blocks)
+        self.execute(context)
+        results = context.render_results
+        return results, self._summarise(results, [len(b) for b in per_rank_blocks])
+
+    def execute(self, context: IterationContext) -> StepReport:
+        """Render the context's groups (PipelineStep contract)."""
+        if self.script.mode != "count":
+            return RenderingStep.execute(self, context)
+        groups = context.groups
+        perm, bounds = context.rank_order()
         results: List[RenderResult] = []
         with Timer() as timer:
-            counts = self._count_all(all_blocks)
-            for (lo, hi), blocks in zip(rank_slices, per_rank_blocks):
+            cells = cat(self._count_groups([g.batch.data for g in groups]))[perm]
+            ids = cat(g.batch.block_ids for g in groups)[perm]
+            points = cat(g.row_points for g in groups)[perm]
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                 result = RenderResult(
-                    script_name=self.script.name, iteration=iteration
+                    script_name=self.script.name, iteration=context.iteration
                 )
-                for block, cells in zip(blocks, counts[lo:hi]):
-                    result.npoints += int(block.data.size)
-                    self.script.record_count(result, block.block_id, cells)
+                self.script.record_counts(
+                    result, ids[lo:hi], cells[lo:hi], int(points[lo:hi].sum())
+                )
                 results.append(result)
-        elapsed = timer.elapsed
-        total_points = sum(result.npoints for result in results)
+        total_points = int(points.sum())
         for result in results:
             result.measured_seconds = (
-                elapsed * (result.npoints / total_points) if total_points else 0.0
+                timer.elapsed * (result.npoints / total_points) if total_points else 0.0
             )
-        return results
-
-    def _count_all(self, blocks: Sequence[Block]) -> np.ndarray:
-        """Per-block active-cell counts (the counting-mode backend hook)."""
-        return self.script.count_blocks_batched(blocks)
+        context.render_results = results
+        return self._report(self._summarise(results, np.diff(bounds).tolist()))
 
 
 def _count_shared_batch(
@@ -203,9 +208,9 @@ def _count_shared_batch(
 class ProcessRenderingStep(VectorizedRenderingStep):
     """Counting-mode rendering fanned out over the shared process pool.
 
-    The cross-rank assembly of :class:`VectorizedRenderingStep` is kept; only
-    the per-block counting moves to worker processes.  Each shape group's
-    stacked payload crosses the boundary once through a
+    The per-rank aggregation of :class:`VectorizedRenderingStep` is kept;
+    only the counting moves to worker processes.  Each group's stacked
+    payload crosses the boundary once through a
     :class:`~repro.grid.shm.SharedBlockBatch` segment and workers count
     contiguous row ranges of the shared view, so the task queue carries only
     handles and bounds.  Counts — and everything derived from them — are
@@ -214,7 +219,7 @@ class ProcessRenderingStep(VectorizedRenderingStep):
     Mesh mode extracts real per-block geometry; the meshes cannot be stacked
     into a shared segment, and pickling them back to the parent costs more
     than the extraction itself, so mesh mode falls back to the inherited
-    vectorised path (a documented serial fallback, like the sorting /
+    reference loop (a documented serial fallback, like the sorting /
     reduction / redistribution steps of this backend).
     """
 
@@ -241,33 +246,7 @@ class ProcessRenderingStep(VectorizedRenderingStep):
         """The engine-wide shared process pool (created on first use)."""
         return shared_process_pool()
 
-    def _count_all(self, blocks: Sequence[Block]) -> np.ndarray:
-        counts = np.zeros(len(blocks), dtype=np.int64)
-        shared: List[SharedBlockBatch] = []
-        pending: List[Tuple[List[int], Future]] = []
-        try:
-            for indices in group_positions_by_shape(blocks):
-                segment = SharedBlockBatch.create(
-                    np.stack([blocks[i].data for i in indices])
-                )
-                shared.append(segment)
-                handle = segment.handle()
-                for lo, hi in chunk_bounds(len(indices), 2 * self.max_workers):
-                    pending.append(
-                        (
-                            indices[lo:hi],
-                            self.pool.submit(
-                                _count_shared_batch,
-                                self.script.level,
-                                handle,
-                                lo,
-                                hi,
-                            ),
-                        )
-                    )
-            for chunk, future in pending:
-                counts[chunk] = np.asarray(future.result(), dtype=np.int64)
-        finally:
-            for segment in shared:
-                segment.dispose()
-        return counts
+    def _count_groups(self, payloads: List[np.ndarray]) -> List[np.ndarray]:
+        return map_shared(
+            self.pool, _count_shared_batch, self.script.level, payloads, 2 * self.max_workers
+        )

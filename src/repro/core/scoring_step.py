@@ -11,12 +11,14 @@ Three implementations of the same contract are provided:
 * :class:`ScoringStep` — routes every rank's blocks through
   ``metric.score_blocks`` (a per-block loop by default, but user metrics that
   override it take effect here);
-* :class:`VectorizedScoringStep` — stacks all ranks' block payloads into
-  shape-homogeneous ``(nblocks, sx, sy, sz)`` arrays (the
-  :class:`~repro.grid.batch.BlockBatch` data layout) and scores each group
-  with one ``metric.score_batch`` call.  Metrics without a vectorised
-  ``score_batch`` transparently fall back to the per-block path;
-* :class:`ProcessScoringStep` — the same grouping, split into chunks and
+* :class:`VectorizedScoringStep` — scores the context's batch-native state
+  (one stacked ``(nblocks, sx, sy, sz)``
+  :class:`~repro.grid.batch.BlockBatch` per payload shape/dtype, built once
+  per iteration by the engine) with one ``metric.score_batch`` call per
+  group, and writes the scores into the groups' ``scores`` arrays — no
+  ``Block`` is cloned.  Metrics without a vectorised ``score_batch`` score
+  the rows one at a time;
+* :class:`ProcessScoringStep` — the same groups, split into chunks and
   fanned out over the shared *process* pool, with payloads crossing the
   boundary zero-copy through :class:`~repro.grid.shm.SharedBlockBatch`
   segments.  This is the backend for GIL-bound metrics (pure-Python scalar
@@ -28,22 +30,18 @@ any backend without perturbing any downstream decision.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import group_positions_by_shape
+from repro.core.step import IterationContext, StepReport, cat
 from repro.grid.block import Block
-from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
+from repro.grid.shm import SharedBlockBatch, ShmBatchHandle, map_shared
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.procpool import (
-    chunk_bounds,
-    default_process_workers,
-    shared_process_pool,
-)
+from repro.utils.procpool import default_process_workers, shared_process_pool
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
@@ -125,19 +123,16 @@ class ScoringStep:
 
 
 class VectorizedScoringStep(ScoringStep):
-    """Scores all ranks' blocks as stacked structure-of-arrays batches.
+    """Scores the batch-native iteration state, one call per shape group.
 
     Because scoring is embarrassingly parallel, the step batches *across*
-    ranks: every block of the iteration is grouped by payload shape/dtype
-    (a handful of groups for a typical decomposition), each group's payloads
-    are stacked into one ``(nblocks, sx, sy, sz)`` array — the
-    :class:`~repro.grid.batch.BlockBatch` data layout — and scored with a
-    single ``metric.score_batch`` call.  Only the payloads are stacked here;
-    scoring never reads the batch metadata, so the hot path skips building
-    the id/extent/owner arrays (use :func:`~repro.grid.batch.partition_by_shape`
-    when a full :class:`BlockBatch` is needed).  Scores are scattered back to
-    the original block order, so the output is indistinguishable from
-    :class:`ScoringStep`'s.
+    ranks: every :class:`~repro.core.step.BatchGroup` of the context is
+    scored with a single ``metric.score_batch`` call over its stacked
+    ``(nblocks, sx, sy, sz)`` payload, and the scores are written into the
+    group's ``scores`` array.  Metrics without a vectorised ``score_batch``
+    score the group's rows one at a time through ``score_blocks``; a metric
+    that overrides ``score_blocks`` may apply cross-block logic over one
+    rank's list, so it takes the per-rank reference path instead.
 
     Measured wall-clock is attributed to ranks proportionally to their point
     counts (the single pass does every rank's work at once); the modelled
@@ -145,76 +140,63 @@ class VectorizedScoringStep(ScoringStep):
     """
 
     name = "scoring"
+    batch_native = True
 
-    def _score_rank(self, blocks: Sequence[Block]) -> List[float]:
-        if not blocks:
-            return []
-        if not self.metric.supports_batch:
-            # Stacking buys nothing when score_batch would loop per block
-            # anyway (coder-based metrics); skip the payload copies.
-            return super()._score_rank(blocks)
-        scores = np.empty(len(blocks), dtype=np.float64)
-        for indices in group_positions_by_shape(blocks):
-            stacked = np.stack([blocks[i].data for i in indices])
-            scores[indices] = self.metric.score_batch(stacked)
-        return [float(s) for s in scores]
+    @property
+    def _per_rank_reference(self) -> bool:
+        """Whether the metric needs the per-rank reference path."""
+        return not self.metric.supports_batch and (
+            type(self.metric).score_blocks is not ScoreMetric.score_blocks
+        )
+
+    def _score_groups(self, payloads: List[np.ndarray]) -> List[np.ndarray]:
+        """Scores of every stacked payload (the backend hook)."""
+        if self.metric.supports_batch:
+            return [self.metric.score_batch(p) for p in payloads]
+        return [self.metric.score_blocks(list(p)) for p in payloads]
 
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]]
     ) -> Tuple[List[List[ScorePair]], List[List[Block]], Dict[str, object]]:
-        """Score every rank's blocks in one cross-rank vectorised pass."""
-        if not self.metric.supports_batch and (
-            type(self.metric).score_blocks is not ScoreMetric.score_blocks
-        ):
-            # A metric that overrides score_blocks may apply cross-block
-            # logic (e.g. normalisation over one rank's list); the cross-rank
-            # pass would change the lists it sees.  Use the per-rank
-            # reference path so every backend scores identically.
+        """Block-list adapter: stack, score the groups, materialise."""
+        if self._per_rank_reference:
             return ScoringStep.run(self, per_rank_blocks)
-        all_blocks: List[Block] = []
-        rank_slices: List[Tuple[int, int]] = []
-        for blocks in per_rank_blocks:
-            rank_slices.append((len(all_blocks), len(all_blocks) + len(blocks)))
-            all_blocks.extend(blocks)
-        with Timer() as timer:
-            scores = self._score_rank(all_blocks)
-            scored_all = [
-                block.with_score(score) for block, score in zip(all_blocks, scores)
-            ]
-        elapsed = timer.elapsed
+        context = IterationContext(0, 0.0, len(per_rank_blocks), per_rank_blocks)
+        report = self.execute(context)
+        return context.per_rank_pairs, context.per_rank_blocks, report.info()
 
-        per_rank_pairs: List[List[ScorePair]] = []
-        scored_blocks: List[List[Block]] = []
-        measured: List[float] = []
-        modelled: List[float] = []
-        rank_points = [
-            sum(int(block.data.size) for block in blocks)
-            for blocks in per_rank_blocks
+    def execute(self, context: IterationContext) -> StepReport:
+        """Score the context's groups (PipelineStep contract)."""
+        if self._per_rank_reference:
+            return ScoringStep.execute(self, context)
+        with Timer() as timer:
+            scores = self._score_groups([g.batch.data for g in context.groups])
+            groups = context.groups = [
+                replace(g, batch=g.batch.with_scores(np.asarray(s, dtype=np.float64)))
+                for g, s in zip(context.groups, scores)
+            ]
+        perm, bounds = context.rank_order()
+        ids = cat(g.batch.block_ids for g in groups)[perm].tolist()
+        flat = cat((g.batch.scores for g in groups), np.float64)[perm].tolist()
+        pairs = list(zip(ids, flat))
+        context.per_rank_pairs = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        ranks = cat(g.ranks for g in groups)
+        rank_points = np.bincount(
+            ranks, weights=cat(g.row_points for g in groups), minlength=context.nranks
+        ).astype(np.int64)
+        total = int(rank_points.sum())
+        modelled = [
+            self.platform.scoring_seconds(self.metric, int(npoints), int(hi - lo))
+            for npoints, lo, hi in zip(rank_points, bounds[:-1], bounds[1:])
         ]
-        total_points = sum(rank_points)
-        for (lo, hi), blocks, npoints in zip(
-            rank_slices, per_rank_blocks, rank_points
-        ):
-            per_rank_pairs.append(
-                [
-                    (block.block_id, score)
-                    for block, score in zip(blocks, scores[lo:hi])
-                ]
-            )
-            scored_blocks.append(scored_all[lo:hi])
-            measured.append(
-                elapsed * (npoints / total_points) if total_points else 0.0
-            )
-            modelled.append(
-                self.platform.scoring_seconds(self.metric, npoints, len(blocks))
-            )
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-        }
-        return per_rank_pairs, scored_blocks, info
+        return StepReport(
+            step=self.name,
+            measured_per_rank=[
+                timer.elapsed * (int(p) / total) if total else 0.0 for p in rank_points
+            ],
+            modelled_per_rank=modelled,
+            counters={"nblocks": float(len(pairs)), "npoints": float(total)},
+        )
 
 
 # -- process-pool workers -----------------------------------------------------
@@ -256,8 +238,8 @@ def _score_shared_blocks(
 class ProcessScoringStep(VectorizedScoringStep):
     """Scores block chunks on the shared process pool, payloads via shm.
 
-    Same cross-rank shape grouping as :class:`VectorizedScoringStep`, but
-    each shape group's stacked payload is copied once into a
+    Same batch-native groups as :class:`VectorizedScoringStep`, but each
+    group's stacked payload is copied once into a
     :class:`~repro.grid.shm.SharedBlockBatch` segment and workers score
     contiguous row ranges of the shared view — the task queue only ever
     carries the metric, a segment handle, and two integers.  Chunking is
@@ -272,7 +254,7 @@ class ProcessScoringStep(VectorizedScoringStep):
     dataclasses; user metrics must be module-level classes).  A metric that
     overrides ``score_blocks`` may apply cross-block logic (e.g.
     normalisation over the whole list), which chunking would silently
-    change; such metrics are routed through one unchunked reference call.
+    change; such metrics take the per-rank reference path.
     Every segment is disposed in a ``finally`` block, so worker exceptions
     cannot leak shared memory.
     """
@@ -295,38 +277,10 @@ class ProcessScoringStep(VectorizedScoringStep):
         """The engine-wide shared process pool (created on first use)."""
         return shared_process_pool()
 
-    def _score_rank(self, blocks: Sequence[Block]) -> List[float]:
-        if not blocks:
-            return []
-        overridden = type(self.metric).score_blocks is not ScoreMetric.score_blocks
-        if not self.metric.supports_batch and overridden:
-            # Cross-block semantics: one unchunked call (see class docs).
-            return ScoringStep._score_rank(self, blocks)
+    def _score_groups(self, payloads: List[np.ndarray]) -> List[np.ndarray]:
         worker = (
             _score_shared_batch
             if self.metric.supports_batch
             else _score_shared_blocks
         )
-        scores = np.empty(len(blocks), dtype=np.float64)
-        shared: List[SharedBlockBatch] = []
-        pending: List[Tuple[List[int], Future]] = []
-        try:
-            for indices in group_positions_by_shape(blocks):
-                segment = SharedBlockBatch.create(
-                    np.stack([blocks[i].data for i in indices])
-                )
-                shared.append(segment)
-                handle = segment.handle()
-                for lo, hi in chunk_bounds(len(indices), 2 * self.max_workers):
-                    pending.append(
-                        (
-                            indices[lo:hi],
-                            self.pool.submit(worker, self.metric, handle, lo, hi),
-                        )
-                    )
-            for chunk, future in pending:
-                scores[chunk] = np.asarray(future.result(), dtype=np.float64)
-        finally:
-            for segment in shared:
-                segment.dispose()
-        return [float(s) for s in scores]
+        return map_shared(self.pool, worker, self.metric, payloads, 2 * self.max_workers)

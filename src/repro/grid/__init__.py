@@ -9,8 +9,9 @@ The vocabulary follows Section IV-A of the paper:
   subdomain and the size of every block are constant across processes.
 
 :mod:`repro.grid.batch` adds :class:`BlockBatch`, a structure-of-arrays view
-over many equally-shaped blocks that the vectorized execution engine scores
-in bulk (lossless ``from_blocks``/``to_blocks`` round-tripping).
+over many equally-shaped blocks in which the vectorized and process engine
+backends carry a whole iteration (lossless ``from_blocks``/``to_blocks``
+round-tripping).
 """
 
 from repro.grid.rectilinear import RectilinearGrid

@@ -1,34 +1,31 @@
 """BlockBatch: a structure-of-arrays view over a set of equally-shaped blocks.
 
 The per-block :class:`~repro.grid.block.Block` objects are the unit of
-*semantics* (scoring, reduction, redistribution decisions), but iterating them
-one ``np.ndarray`` at a time keeps every hot loop in Python.  A
-:class:`BlockBatch` stacks the payloads of many equally-shaped blocks into one
-``(nblocks, sx, sy, sz)`` array — plus parallel arrays for ids, extents,
-owners, and scores — so that metrics and other array-friendly kernels can run
-once over the whole batch instead of once per block.
+*semantics* at the API boundary, but iterating them one ``np.ndarray`` at a
+time keeps every hot loop in Python.  A :class:`BlockBatch` stacks the
+payloads of many equally-shaped blocks into one ``(nblocks, sx, sy, sz)``
+array — plus parallel arrays for ids, extents, owners, levels and scores — so
+kernels run once over the whole batch instead of once per block.
 
 The conversion is lossless: ``BlockBatch.from_blocks(blocks).to_blocks()``
 reproduces the input blocks exactly (ids, extents, owners, homes, reduced
 flags, ladder levels, scores, field names, payload values, and payload
-dtype).  Blocks of
-mixed shapes or dtypes cannot share one stacked array; use
+dtype).  Blocks of mixed shapes or dtypes cannot share one stacked array
+without promotion, so :meth:`BlockBatch.from_blocks` rejects them; use
 :func:`partition_by_shape` to split an arbitrary block list into homogeneous
 batches while remembering each block's original position.
 
-Both hot data-parallel steps consume this layout: the vectorised scoring
-step stacks cross-rank shape groups for ``metric.score_batch``, and the
-vectorised rendering path groups blocks by the same shape/dtype key before
-one ``count_active_cells_batch`` pass per stacked group (a post-reduction
-block list yields at most a handful of groups — typically the full-block
-shapes plus one 2×2×2 group holding every reduced block).  Both hot paths
-stack payloads only; :func:`partition_by_shape` additionally carries the
-metadata arrays for consumers that need a full :class:`BlockBatch`.
+The vectorized and process engine backends keep a whole iteration in this
+layout: the engine stacks every rank's blocks once per iteration with
+:func:`partition_by_shape` (one batch per payload shape/dtype), and every
+step then indexes arrays (:meth:`BlockBatch.take` selects rows) instead of
+cloning ``Block`` objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -122,48 +119,41 @@ class BlockBatch:
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Block]) -> "BlockBatch":
-        """Stack ``blocks`` (non-empty, equal payload shapes) into one batch."""
+        """Stack ``blocks`` (non-empty, one payload shape and dtype) into a batch."""
         if not blocks:
             raise ValueError("cannot build a BlockBatch from an empty block list")
-        shape = tuple(blocks[0].data.shape)
-        for b in blocks:
-            if tuple(b.data.shape) != shape:
-                raise ValueError(
-                    f"all blocks must share one payload shape; got {shape} and "
-                    f"{tuple(b.data.shape)} (use partition_by_shape for mixed lists)"
-                )
-        ids, starts, stops, owners, homes, reduced, levels, raw_scores, field_names = zip(
-            *(
-                (
-                    b.block_id,
-                    b.extent.start,
-                    b.extent.stop,
-                    b.owner,
-                    b.home,
-                    b.reduced,
-                    b.level,
-                    b.score,
-                    b.field_name,
-                )
-                for b in blocks
+        try:
+            # casting="no" rejects a mixed dtype instead of promoting it.
+            data = np.concatenate(
+                [b.data[None] for b in blocks], dtype=blocks[0].data.dtype, casting="no"
             )
-        )
-        mask = np.array([s is not None for s in raw_scores], dtype=bool)
-        scores = np.array(
-            [0.0 if s is None else float(s) for s in raw_scores], dtype=np.float64
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"all blocks must share one payload shape and dtype ({exc}); use "
+                "partition_by_shape for mixed lists"
+            ) from None
+        ints = np.fromiter(
+            chain.from_iterable(
+                (b.block_id, b.owner, b.home, b.level, *b.extent.start, *b.extent.stop)
+                for b in blocks
+            ),
+            dtype=np.int64,
+        ).reshape(-1, 10)
+        raw_scores = [b.score for b in blocks]
         return cls(
-            data=np.stack([b.data for b in blocks]),
-            block_ids=np.array(ids, dtype=np.int64),
-            starts=np.array(starts, dtype=np.int64),
-            stops=np.array(stops, dtype=np.int64),
-            owners=np.array(owners, dtype=np.int64),
-            homes=np.array(homes, dtype=np.int64),
-            reduced=np.array(reduced, dtype=bool),
-            levels=np.array(levels, dtype=np.int64),
-            scores=scores,
-            score_mask=mask,
-            field_names=tuple(field_names),
+            data=data,
+            block_ids=ints[:, 0],
+            starts=ints[:, 4:7],
+            stops=ints[:, 7:10],
+            owners=ints[:, 1],
+            homes=ints[:, 2],
+            reduced=ints[:, 3] > 0,
+            levels=ints[:, 3],
+            scores=np.array(
+                [0.0 if s is None else float(s) for s in raw_scores], dtype=np.float64
+            ),
+            score_mask=np.array([s is not None for s in raw_scores], dtype=bool),
+            field_names=tuple(b.field_name for b in blocks),
         )
 
     def to_blocks(self) -> List[Block]:
@@ -187,6 +177,17 @@ class BlockBatch:
                 )
             )
         return blocks
+
+    def take(self, rows: np.ndarray) -> "BlockBatch":
+        """The sub-batch of ``rows`` (an index array or boolean mask)."""
+        return BlockBatch(
+            **{
+                f.name: getattr(self, f.name)[rows]
+                for f in fields(self)
+                if f.name != "field_names"
+            },
+            field_names=tuple(np.asarray(self.field_names, dtype=object)[rows]),
+        )
 
     # -- basic properties ---------------------------------------------------
 
@@ -232,8 +233,7 @@ class BlockBatch:
 def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
     """Group block positions by payload shape *and* dtype.
 
-    This is the batching key every stacked hot path shares (vectorised
-    scoring, counting-mode rendering, mesh-mode chunking): blocks whose
+    This is the batching key of :func:`partition_by_shape`: blocks whose
     payloads share one shape/dtype stack without promotion.  Returns one
     position list per group, positions in input order; a typical
     pre-reduction rank list yields exactly one group, and all reduced
@@ -241,8 +241,8 @@ def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
     """
     groups: Dict[Tuple[Tuple[int, ...], np.dtype], List[int]] = {}
     for position, block in enumerate(blocks):
-        key = (tuple(block.data.shape), block.data.dtype)
-        groups.setdefault(key, []).append(position)
+        data = block.data
+        groups.setdefault((data.shape, data.dtype), []).append(position)
     return list(groups.values())
 
 

@@ -190,16 +190,15 @@ class Block:
         """Copy of the block with some fields replaced, skipping re-validation.
 
         Only safe for fields that don't participate in the payload/extent
-        consistency checks (owner, score): the payload was validated when the
-        block was built, and these copies happen once per block per pipeline
-        step, which makes ``dataclasses.replace``'s re-validation the hot
-        path's dominant cost.  The frozen-dataclass guard lives in
+        consistency checks (owner, score), or for a payload/level pair already
+        known to be consistent (rows of a batched ladder reduction): these
+        copies happen once per block, which makes ``dataclasses.replace``'s
+        re-validation the dominant cost.  The frozen-dataclass guard lives in
         ``__setattr__``, so filling the fresh instance's ``__dict__`` directly
         is both legal and the fastest copy Python offers.
         """
         clone = object.__new__(Block)
-        clone.__dict__.update(self.__dict__)
-        clone.__dict__.update(updates)
+        clone.__dict__.update(self.__dict__, **updates)
         return clone
 
     def with_owner(self, owner: int) -> "Block":
@@ -227,31 +226,12 @@ class Block:
             self, data=np.asarray(data), reduced=bool(reduced), level=int(level)
         )
 
-    def with_corner_payload(self, corners: np.ndarray) -> "Block":
-        """Return a reduced copy carrying 2×2×2 ``corners`` (fast path).
-
-        Equivalent to ``with_data(corners, reduced=True)`` but skipping the
-        dataclass ``replace``/re-validation machinery: the only constraint a
-        reduced block carries is the (2, 2, 2) payload shape, checked here
-        directly.  This is the clone the batched reduction step performs once
-        per reduced block per iteration, where ``replace``'s overhead is the
-        hot path's dominant cost (rows of a ``reduce_to_corners_batch``
-        result are already validated by construction).
-        """
-        corners = np.asarray(corners)
-        if corners.shape != (2, 2, 2):
-            raise ValueError(
-                f"reduced block data must have shape (2, 2, 2), got {corners.shape}"
-            )
-        return self._clone_with(data=corners, reduced=True, level=2)
-
     def with_level_payload(self, data: np.ndarray, level: int) -> "Block":
         """Return a copy carrying a ``level``-rung payload (fast path).
 
-        The ladder generalisation of :meth:`with_corner_payload`: the payload
-        shape is checked against :func:`level_shape` directly and the
-        dataclass ``replace``/re-validation machinery is skipped — rows of a
-        batched ``reduce_to_level`` pass are already valid by construction.
+        Equivalent to ``with_data(data, reduced=level > 0, level=level)``, but
+        the payload shape is checked against :func:`level_shape` directly and
+        the dataclass ``replace``/re-validation machinery is skipped.
         """
         level = int(level)
         data = np.asarray(data)

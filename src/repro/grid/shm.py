@@ -40,20 +40,23 @@ because steps dispose their segments before returning.)
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.batch import BlockBatch
 from repro.grid.block import Block
+from repro.utils.procpool import chunk_bounds
 
 __all__ = [
     "ShmBatchHandle",
     "SharedBatchError",
     "SharedBlockBatch",
     "live_owned_segments",
+    "map_shared",
     "purge_owned_segments",
 ]
 
@@ -288,3 +291,32 @@ class SharedBlockBatch:
             f"SharedBlockBatch({role}, {state}, shape={self._shape}, "
             f"dtype={self._dtype}, nbytes={self.nbytes})"
         )
+
+
+def map_shared(
+    pool: Executor,
+    worker: Callable[[Any, ShmBatchHandle, int, int], np.ndarray],
+    arg: Any,
+    payloads: Sequence[np.ndarray],
+    nchunks: int,
+) -> List[np.ndarray]:
+    """Run ``worker(arg, handle, lo, hi)`` over row chunks of every payload,
+    each copied once into a segment that is disposed even if a worker raises;
+    returns the concatenated chunk results, one array per payload."""
+    shared: List[SharedBlockBatch] = []
+    pending = []
+    try:
+        for index, payload in enumerate(payloads):
+            segment = SharedBlockBatch.create(payload)
+            shared.append(segment)
+            for lo, hi in chunk_bounds(len(payload), nchunks):
+                pending.append(
+                    (index, pool.submit(worker, arg, segment.handle(), lo, hi))
+                )
+        parts: List[List[np.ndarray]] = [[] for _ in payloads]
+        for index, future in pending:
+            parts[index].append(np.asarray(future.result()))
+    finally:
+        for segment in shared:
+            segment.dispose()
+    return [np.concatenate(chunks) for chunks in parts]

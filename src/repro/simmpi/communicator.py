@@ -39,16 +39,26 @@ _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError, RecursionErro
 def _payload_nbytes(obj: Any) -> int:
     """Approximate the wire size of a Python payload.
 
-    NumPy arrays count their buffer size; other objects are priced by their
-    pickle length (which is what a real mpi4py lowercase call would send).
-    Unpicklable payloads are priced at :data:`UNPICKLABLE_PAYLOAD_NBYTES`.
+    An object with an integer ``nbytes`` (a NumPy array, a ``Block``), or a
+    non-empty list or tuple of such objects, is priced by that payload size,
+    so a block exchange costs exactly its moved payload bytes.  Other
+    objects are priced by their pickle length (what a real mpi4py lowercase
+    call would send); unpicklable ones at :data:`UNPICKLABLE_PAYLOAD_NBYTES`.
     """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
+    if isinstance(obj, (list, tuple)):
+        total = 0
+        for item in obj:
+            nbytes = getattr(item, "nbytes", None)
+            if not isinstance(nbytes, int):
+                break
+            total += nbytes
+        else:
+            if obj:
+                return total
+    elif isinstance(getattr(obj, "nbytes", None), int):
+        return obj.nbytes
+    elif isinstance(obj, (bytes, bytearray)):
         return len(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(isinstance(x, np.ndarray) for x in obj):
-        return int(sum(x.nbytes for x in obj))
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except _PICKLE_ERRORS:

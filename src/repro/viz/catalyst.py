@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.batch import group_positions_by_shape
+from repro.grid.batch import partition_by_shape
 from repro.grid.block import Block, axis_sample_indices
 from repro.grid.reduction import reconstruct_block
 from repro.utils.timer import Timer
@@ -172,27 +172,6 @@ class IsosurfaceScript(VisualizationScript):
         )
         return mesh, int(cells)
 
-    def count_blocks_batched(self, blocks: Sequence[Block]) -> np.ndarray:
-        """Active-cell counts of ``blocks``, in block order, via stacked batches.
-
-        The blocks are grouped by payload shape/dtype — the
-        :class:`~repro.grid.batch.BlockBatch` grouping; all reduced 2×2×2
-        blocks form one stacked group — and each group's payloads are stacked
-        into one ``(nblocks, sx, sy, sz)`` array counted with a single
-        vectorised :func:`~repro.viz.marching_cubes.count_active_cells_batch`
-        pass.  Like the vectorised scoring step, the hot path stacks only the
-        payloads and skips the batch metadata arrays (use
-        :func:`~repro.grid.batch.partition_by_shape` when a full
-        :class:`~repro.grid.batch.BlockBatch` is needed).  Counts are bitwise
-        identical to per-block
-        :func:`~repro.viz.marching_cubes.count_active_cells` calls.
-        """
-        counts = np.zeros(len(blocks), dtype=np.int64)
-        for indices in group_positions_by_shape(blocks):
-            stacked = np.stack([blocks[i].data for i in indices])
-            counts[indices] = count_active_cells_batch(stacked, self.level)
-        return counts
-
     def record_count(self, result: RenderResult, block_id: int, cells: int) -> None:
         """Record one block's counting-mode load estimate."""
         cells = int(cells)
@@ -200,6 +179,22 @@ class IsosurfaceScript(VisualizationScript):
         result.per_block_triangles[block_id] = int(
             round(cells * TRIANGLES_PER_ACTIVE_CELL)
         )
+
+    def record_counts(
+        self,
+        result: RenderResult,
+        block_ids: np.ndarray,
+        cells: np.ndarray,
+        npoints: int,
+    ) -> None:
+        """Record many blocks' counting-mode estimates (:meth:`record_count`
+        over arrays) plus their ``npoints`` payload points."""
+        cells = np.asarray(cells, dtype=np.int64)
+        ids = np.asarray(block_ids).tolist()
+        triangles = np.rint(cells * TRIANGLES_PER_ACTIVE_CELL).astype(np.int64)
+        result.npoints += int(npoints)
+        result.per_block_active_cells.update(zip(ids, cells.tolist()))
+        result.per_block_triangles.update(zip(ids, triangles.tolist()))
 
     def finalize_mesh(self, result: RenderResult, meshes: Sequence[TriangleMesh]) -> None:
         """Merge per-block meshes (in block order) and optionally rasterize."""
@@ -237,24 +232,23 @@ class IsosurfaceScript(VisualizationScript):
         return result
 
     def process_batch(self, blocks: Sequence[Block], iteration: int) -> RenderResult:
-        """Batched counterpart of :meth:`process` (the vectorised backend).
+        """Batched counterpart of :meth:`process`.
 
-        Counting mode replaces the per-block Python loop with one
-        shape-grouped :meth:`count_blocks_batched` pass; every recorded count
-        and triangle estimate is bitwise identical to :meth:`process`'s.
-        Mesh mode extracts real per-block geometry, which cannot be stacked,
-        so it delegates to the reference loop (itself a single detection pass
-        per block).
+        Counting mode stacks the blocks into one
+        :class:`~repro.grid.batch.BlockBatch` per payload shape/dtype and
+        counts each with one vectorised
+        :func:`~repro.viz.marching_cubes.count_active_cells_batch` pass; every
+        recorded count and triangle estimate is bitwise identical to
+        :meth:`process`'s.  Mesh mode extracts real per-block geometry, which
+        cannot be stacked, so it delegates to the reference loop.
         """
         if self.mode != "count":
             return self.process(blocks, iteration)
         result = RenderResult(script_name=self.name, iteration=iteration)
         with Timer() as timer:
-            if blocks:
-                counts = self.count_blocks_batched(blocks)
-                for block, cells in zip(blocks, counts):
-                    result.npoints += int(block.data.size)
-                    self.record_count(result, block.block_id, cells)
+            for _, batch in partition_by_shape(blocks):
+                cells = count_active_cells_batch(batch.data, self.level)
+                self.record_counts(result, batch.block_ids, cells, batch.npoints)
         result.measured_seconds = timer.elapsed
         return result
 

@@ -93,6 +93,23 @@ class TestBlockBatchProperties:
         with pytest.raises(ValueError):
             BlockBatch.from_blocks(blocks)
 
+    def test_mixed_dtypes_rejected(self):
+        """Stacking would promote the float32 block to float64, and the round
+        trip would no longer return it as it was."""
+        blocks = [make_block(0), make_block(1, offset=4, dtype=np.float64)]
+        with pytest.raises(ValueError, match="partition_by_shape"):
+            BlockBatch.from_blocks(blocks)
+        for indices, batch in partition_by_shape(blocks):
+            for position, block in zip(indices, batch.to_blocks()):
+                assert block.data.dtype == blocks[position].data.dtype
+
+    def test_take_selects_rows(self):
+        blocks = [make_block(i, offset=4 * i, field_name=f"f{i}") for i in range(4)]
+        batch = BlockBatch.from_blocks(blocks).take(np.array([3, 1]))
+        assert [b.block_id for b in batch.to_blocks()] == [3, 1]
+        assert batch.field_names == ("f3", "f1")
+        np.testing.assert_array_equal(batch.data[0], blocks[3].data)
+
 
 class TestBatchReductionLadder:
     """Batched ladder kernels and level metadata through BlockBatch."""
