@@ -23,9 +23,9 @@ The ``backend`` selects how all five data-parallel steps are implemented:
   gathered ``(score, id)`` arrays, reduction one ``reduce_to_level_batch``
   call per group and target level, redistribution relabels the owner arrays
   (the exchange is still priced by the moved payload bytes), and
-  counting-mode rendering one ``count_active_cells_batch`` call per group.
-  ``Block`` objects are built only when a caller reads
-  ``context.per_rank_blocks`` (mesh-mode rendering does);
+  rendering one ``count_active_cells_batch`` (counting mode) or
+  ``extract_isosurface_batch`` (mesh mode) call per group.  ``Block``
+  objects are built only when a caller reads ``context.per_rank_blocks``;
 * ``"process"`` — the same batch-native state, with scoring and rendering
   shipped to a process pool through shared memory, so GIL-bound per-block
   work scales with cores.

@@ -11,18 +11,18 @@ one contract, selected by ``PipelineConfig.engine``:
 
 * :class:`RenderingStep` — the reference loop: every rank's blocks go through
   ``IsosurfaceScript.process`` one block at a time;
-* :class:`VectorizedRenderingStep` — counting mode counts every group of
-  the batch-native state (one stacked :class:`~repro.grid.batch.BlockBatch`
-  per payload shape/dtype) with a single vectorised
-  ``count_active_cells_batch`` pass and aggregates the counts per rank.
-  Mesh mode extracts real geometry, which cannot be stacked: it
-  materialises the blocks once and runs the reference per-block extraction;
+* :class:`VectorizedRenderingStep` — every group of the batch-native state
+  (one stacked :class:`~repro.grid.batch.BlockBatch` per payload
+  shape/dtype) goes through one kernel call: ``count_active_cells_batch`` in
+  counting mode, ``extract_isosurface_batch`` in mesh mode, whose row-sorted
+  triangle soups become each rank's merged mesh directly; results are
+  aggregated per rank and no ``Block`` is built;
 * :class:`ProcessRenderingStep` — counting mode fanned out over the shared
   process pool, payloads crossing zero-copy through
-  :class:`~repro.grid.shm.SharedBlockBatch` segments (mesh mode falls back
-  to the reference loop).
+  :class:`~repro.grid.shm.SharedBlockBatch` segments (the mesh pass stays
+  in-process).
 
-All backends produce identical counts, triangle estimates, and modelled
+All backends produce identical counts, triangles, meshes and modelled
 seconds — measured wall-clock is the one quantity that legitimately differs.
 """
 
@@ -33,14 +33,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport, cat
+from repro.core.step import BatchGroup, IterationContext, StepReport, cat
 from repro.grid.block import Block
 from repro.grid.shm import SharedBlockBatch, ShmBatchHandle, map_shared
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.procpool import default_process_workers, shared_process_pool
 from repro.utils.timer import Timer
 from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
-from repro.viz.marching_cubes import count_active_cells_batch
+from repro.viz.marching_cubes import count_active_cells_batch, extract_isosurface_batch
+from repro.viz.mesh import TriangleMesh
 
 
 class RenderingStep:
@@ -131,20 +132,21 @@ class RenderingStep:
 
 
 class VectorizedRenderingStep(RenderingStep):
-    """Rendering of the batch-native state, one count per shape group.
+    """Rendering of the batch-native state, one kernel call per shape group.
 
-    Counting mode — the cheap load proxy the large virtual-rank experiments
-    run — batches *across* ranks, exactly like the vectorised scoring step:
-    every :class:`~repro.core.step.BatchGroup` of the context is counted with
-    a single ``count_active_cells_batch`` pass over its stacked payload, and
-    the counts are aggregated per rank, so the whole iteration costs a
-    handful of NumPy calls and builds no ``Block``.  Counts, triangle
-    estimates, and modelled seconds are bitwise identical to
-    :class:`RenderingStep`'s; only measured wall-clock differs, and the
-    single pass's elapsed time is attributed to ranks proportionally to
-    their payload point counts (the convention the scoring step set).  Mesh
-    mode extracts per-block geometry, which cannot be stacked: it reads the
-    materialised ``context.per_rank_blocks`` and runs the reference loop.
+    Rendering batches *across* ranks, exactly like the vectorised scoring
+    step: every :class:`~repro.core.step.BatchGroup` of the context goes
+    through one kernel call over its stacked payload, and the results are
+    aggregated per rank in ``context.rank_order()``, so the whole iteration
+    costs a handful of NumPy calls and builds no ``Block``.  Counting mode
+    calls ``count_active_cells_batch``; mesh mode calls
+    ``extract_isosurface_batch`` with the rows' coordinates
+    (``IsosurfaceScript.batch_coords``) and builds each rank's merged mesh
+    straight from the row-sorted triangle soups.  Counts, triangles, meshes
+    and modelled seconds are bitwise identical to :class:`RenderingStep`'s;
+    only measured wall-clock differs, and the single pass's elapsed time is
+    attributed to ranks proportionally to their payload point counts (the
+    convention the scoring step set).
     """
 
     batch_native = True
@@ -153,12 +155,33 @@ class VectorizedRenderingStep(RenderingStep):
         """Active-cell counts of every stacked payload (the backend hook)."""
         return [count_active_cells_batch(p, self.script.level) for p in payloads]
 
+    def _extract_groups(
+        self, groups: Sequence[BatchGroup], perm: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mesh mode: ``(soup, triangles, cells)`` of every row in ``perm``
+        order; the soup holds the rows' triangles back to back."""
+        extracted = [
+            extract_isosurface_batch(
+                g.batch.data, self.script.level, self.script.batch_coords(g.batch)
+            )
+            for g in groups
+        ]
+        soups = [soup for soup, _, _ in extracted]
+        cells = cat(cells for _, _, cells in extracted)[perm]
+        triangles = cat(np.diff(bounds) for _, bounds, _ in extracted)[perm]
+        # Each row's first triangle in the concatenated soups, then a gather
+        # that lays the rows' ranges back to back in ``perm`` order.
+        offsets = np.cumsum([0] + [soup.shape[0] for soup in soups])
+        starts = cat(b[:-1] + o for (_, b, _), o in zip(extracted, offsets))[perm]
+        gather = np.repeat(starts - (np.cumsum(triangles) - triangles), triangles)
+        gather += np.arange(gather.size)
+        soup = np.concatenate(soups) if soups else np.zeros((0, 3, 3))
+        return soup[gather], triangles, cells
+
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
     ) -> Tuple[List[RenderResult], Dict[str, object]]:
         """Block-list adapter: stack, render the groups."""
-        if self.script.mode != "count":
-            return RenderingStep.run(self, per_rank_blocks, iteration)
         context = IterationContext(iteration, 0.0, len(per_rank_blocks), per_rank_blocks)
         self.execute(context)
         results = context.render_results
@@ -166,22 +189,33 @@ class VectorizedRenderingStep(RenderingStep):
 
     def execute(self, context: IterationContext) -> StepReport:
         """Render the context's groups (PipelineStep contract)."""
-        if self.script.mode != "count":
-            return RenderingStep.execute(self, context)
         groups = context.groups
         perm, bounds = context.rank_order()
         results: List[RenderResult] = []
         with Timer() as timer:
-            cells = cat(self._count_groups([g.batch.data for g in groups]))[perm]
             ids = cat(g.batch.block_ids for g in groups)[perm]
             points = cat(g.row_points for g in groups)[perm]
-            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            triangles = None
+            meshes = [None] * context.nranks
+            if self.script.mode == "mesh":
+                soup, triangles, cells = self._extract_groups(groups, perm)
+                splits = np.concatenate(([0], np.cumsum(triangles)))[bounds[1:-1]]
+                meshes = [TriangleMesh.from_triangle_soup(s) for s in np.split(soup, splits)]
+            else:
+                cells = cat(self._count_groups([g.batch.data for g in groups]))[perm]
+            for lo, hi, mesh in zip(bounds[:-1].tolist(), bounds[1:].tolist(), meshes):
                 result = RenderResult(
                     script_name=self.script.name, iteration=context.iteration
                 )
                 self.script.record_counts(
-                    result, ids[lo:hi], cells[lo:hi], int(points[lo:hi].sum())
+                    result,
+                    ids[lo:hi],
+                    cells[lo:hi],
+                    int(points[lo:hi].sum()),
+                    None if triangles is None else triangles[lo:hi],
                 )
+                if mesh is not None:
+                    self.script.finalize_mesh(result, mesh)
                 results.append(result)
         total_points = int(points.sum())
         for result in results:
@@ -216,11 +250,9 @@ class ProcessRenderingStep(VectorizedRenderingStep):
     handles and bounds.  Counts — and everything derived from them — are
     bitwise identical to the other backends'.
 
-    Mesh mode extracts real per-block geometry; the meshes cannot be stacked
-    into a shared segment, and pickling them back to the parent costs more
-    than the extraction itself, so mesh mode falls back to the inherited
-    reference loop (a documented serial fallback, like the sorting /
-    reduction / redistribution steps of this backend).
+    Mesh mode runs the inherited in-process batched extraction: the
+    triangle soups are larger than the payloads they come from, so shipping
+    them back from workers would cost more than the extraction itself.
     """
 
     def __init__(

@@ -17,9 +17,12 @@ the protocol is tiny:
     (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
     ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``),
     validated in full — unknown fields, a ``percent`` outside [0, 100], a
-    non-positive ``target`` — with a JSON 400 before any ``200`` header is
-    sent.  The response streams NDJSON: one ``start`` event (with
-    the cache verdict), one ``iteration`` event per completed pipeline
+    non-positive ``target``, ``ranks``/``snapshots`` that are not positive
+    integers, a ``seed`` that is not a non-negative integer — with a JSON
+    400 before any ``200`` header is sent; so is a malformed request head
+    (request line, ``Content-Length``, a head over :data:`MAX_HEAD_BYTES`).
+    The response streams NDJSON: one ``start`` event (with the cache
+    verdict), one ``iteration`` event per completed pipeline
     iteration *as it completes*, and a final ``summary`` event matching
     ``python -m repro run``'s machine-readable contract — or a terminal
     ``error`` event whose ``reason`` distinguishes a ``"timeout"`` (the
@@ -93,6 +96,26 @@ STREAM_GRACE_SECONDS = 2.0
 #: Poll interval of the process-tier event drain and the shutdown drain.
 _POLL_SECONDS = 0.05
 
+#: Largest request head (request line + headers) the server reads: the
+#: stream limit of ``asyncio.start_server``.
+MAX_HEAD_BYTES = 64 * 1024
+
+
+class BadRequest(ValueError):
+    """A malformed request, answered with a JSON 400 and the message."""
+
+
+def _int_field(payload: Dict[str, object], name: str, minimum: int) -> Optional[int]:
+    """``payload[name]`` if it is a JSON integer >= ``minimum``, ``None`` if
+    absent; anything else (a float, a bool, a string) raises ``ValueError``."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a positive" if minimum == 1 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -128,11 +151,9 @@ class RunRequest:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         request = cls(
             scenario=scenario.strip(),
-            ranks=None if payload.get("ranks") is None else int(payload["ranks"]),
-            snapshots=(
-                None if payload.get("snapshots") is None else int(payload["snapshots"])
-            ),
-            seed=None if payload.get("seed") is None else int(payload["seed"]),
+            ranks=_int_field(payload, "ranks", 1),
+            snapshots=_int_field(payload, "snapshots", 1),
+            seed=_int_field(payload, "seed", 0),
             metric=str(payload.get("metric", "VAR")),
             redistribution=str(payload.get("redistribution", "none")),
             percent=(
@@ -478,16 +499,11 @@ class ServeApp:
             "execution": self.execution,
         }
 
-    async def stream_run(self, request: RunRequest, write_line) -> None:
-        """Run a request on the pool, awaiting ``write_line`` per event."""
+    async def stream_run(self, request: RunRequest, config, write_line) -> None:
+        """Run a request's built scenario ``config`` on the pool, awaiting
+        ``write_line`` per event."""
         loop = asyncio.get_running_loop()
         out_queue: asyncio.Queue = asyncio.Queue()
-        spec = get_scenario(request.scenario)  # KeyError -> handled by caller
-        config = spec.build(
-            ncores=request.ranks,
-            nsnapshots=request.snapshots,
-            seed=request.seed,
-        )
         scope = _RunScope(self._timeout_for(request), self._shutdown)
 
         def emit(event: Dict[str, object]) -> None:
@@ -573,11 +589,13 @@ class ServeApp:
     ) -> None:
         """One HTTP/1.1 exchange (the server always closes after it)."""
         try:
-            method, path, headers = await _read_request_head(reader)
-            body = b""
-            length = int(headers.get("content-length", "0") or "0")
-            if length:
-                body = await reader.readexactly(length)
+            try:
+                method, path, headers = await _read_request_head(reader)
+                length = _content_length(headers)
+            except BadRequest as exc:
+                await _respond_json(writer, 400, {"error": str(exc)})
+                return
+            body = await reader.readexactly(length) if length else b""
             await self._dispatch(writer, method, path, body)
         except (asyncio.IncompleteReadError, ConnectionResetError, ValueError):
             pass
@@ -615,11 +633,11 @@ class ServeApp:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
             request = RunRequest.from_payload(payload)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
             await _respond_json(writer, 400, {"error": str(exc)})
             return
         try:
-            get_scenario(request.scenario)
+            spec = get_scenario(request.scenario)
         except KeyError:
             await _respond_json(
                 writer,
@@ -629,6 +647,13 @@ class ServeApp:
                     "available": scenario_names(),
                 },
             )
+            return
+        try:
+            config = spec.build(
+                ncores=request.ranks, nsnapshots=request.snapshots, seed=request.seed
+            )
+        except ValueError as exc:
+            await _respond_json(writer, 400, {"error": str(exc)})
             return
 
         writer.write(
@@ -644,13 +669,15 @@ class ServeApp:
             writer.write(line.encode("utf-8") + b"\n")
             await writer.drain()
 
-        await self.stream_run(request, write_line)
+        await self.stream_run(request, config, write_line)
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
         """Bind and return the listening server (``port=0`` picks a free one)."""
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_HEAD_BYTES
+        )
 
     def close(self, grace_s: Optional[float] = None) -> None:
         """Shut down, cancelling in-flight runs within a bounded grace.
@@ -689,12 +716,16 @@ class _suppress_concurrent_errors:
 async def _read_request_head(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str]]:
-    """Parse the request line + headers; raises ``ValueError`` on garbage."""
-    head = await reader.readuntil(b"\r\n\r\n")
+    """Parse the request line + headers; raises :class:`BadRequest` on
+    garbage or a head over :data:`MAX_HEAD_BYTES`."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise BadRequest(f"request head exceeds {MAX_HEAD_BYTES} bytes") from None
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split()
     if len(parts) != 3:
-        raise ValueError(f"malformed request line: {lines[0]!r}")
+        raise BadRequest(f"malformed request line: {lines[0][:200]!r}")
     method, path, _version = parts
     headers: Dict[str, str] = {}
     for line in lines[1:]:
@@ -703,6 +734,15 @@ async def _read_request_head(
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     return method.upper(), path, headers
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """The ``Content-Length`` header (0 if absent); raises :class:`BadRequest`
+    unless it is a non-negative decimal integer."""
+    raw = headers.get("content-length", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise BadRequest(f"invalid Content-Length: {raw[:200]!r}")
+    return int(raw)
 
 
 async def _respond_json(

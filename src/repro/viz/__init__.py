@@ -4,7 +4,9 @@ The paper renders a 45 dBZ isosurface of the reflectivity through ParaView
 Catalyst (marching cubes + mesh rendering), plus 2-D colormaps.  This package
 provides the equivalent building blocks in pure NumPy:
 
-* :func:`marching_cubes` — isosurface extraction (full 256-case tables);
+* :func:`marching_cubes` — isosurface extraction by marching tetrahedra
+  (six tetrahedra per cell, 16 cases each), and its batched twin
+  :func:`extract_isosurface_batch` over a stacked group of blocks;
 * :class:`TriangleMesh` — the extracted geometry;
 * :class:`Camera`, :class:`Framebuffer`, :func:`rasterize_mesh` — a z-buffered
   Lambert-shaded software rasterizer producing actual images;
@@ -19,6 +21,7 @@ from repro.viz.mesh import TriangleMesh
 from repro.viz.marching_cubes import (
     marching_cubes,
     extract_isosurface,
+    extract_isosurface_batch,
     count_active_cells,
     count_active_cells_batch,
 )
@@ -39,6 +42,7 @@ __all__ = [
     "TriangleMesh",
     "marching_cubes",
     "extract_isosurface",
+    "extract_isosurface_batch",
     "count_active_cells",
     "count_active_cells_batch",
     "Camera",

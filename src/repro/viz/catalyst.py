@@ -4,9 +4,10 @@ ParaView Catalyst lets a simulation hand its data to "pipeline scripts" that
 produce visualization output while the simulation runs.  This module provides
 the same shape of API for the reproduction:
 
-* :class:`IsosurfaceScript` — the expensive scenario of the paper: marching-
-  cubes isosurface extraction of the reflectivity (45 dBZ by default) plus
-  optional image rendering;
+* :class:`IsosurfaceScript` — the expensive scenario of the paper:
+  isosurface extraction of the reflectivity (45 dBZ by default; marching
+  tetrahedra standing in for Catalyst's marching cubes) plus optional image
+  rendering;
 * :class:`ColormapScript` — the cheap 2-D colormap scenario;
 * :class:`CatalystPipeline` — holds the scripts and exposes ``coprocess``,
   which one virtual rank calls per iteration with its list of blocks.
@@ -14,6 +15,9 @@ the same shape of API for the reproduction:
 Every script returns a :class:`RenderResult` carrying the quantities the rest
 of the system needs: per-block triangle counts (rendering load), active cell
 counts, and optionally the extracted mesh / rendered image.
+:meth:`IsosurfaceScript.process` is the per-block reference; the batched
+rendering steps share its helpers (``batch_coords``, ``record_counts``,
+``finalize_mesh``) and extract whole stacked groups at once.
 """
 
 from __future__ import annotations
@@ -23,18 +27,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.batch import partition_by_shape
+from repro.grid.batch import BlockBatch
 from repro.grid.block import Block, axis_sample_indices
 from repro.grid.reduction import reconstruct_block
 from repro.utils.timer import Timer
 from repro.viz.camera import Camera
 from repro.viz.colormap import apply_colormap
 from repro.viz.framebuffer import Framebuffer
-from repro.viz.marching_cubes import (
-    count_active_cells,
-    count_active_cells_batch,
-    extract_isosurface,
-)
+from repro.viz.marching_cubes import count_active_cells, extract_isosurface
 from repro.viz.mesh import TriangleMesh
 from repro.viz.rasterizer import rasterize_mesh
 
@@ -97,7 +97,7 @@ class IsosurfaceScript(VisualizationScript):
     level:
         Isovalue; the paper uses 45 dBZ.
     mode:
-        ``"mesh"`` extracts real geometry with marching cubes;
+        ``"mesh"`` extracts real geometry (marching tetrahedra);
         ``"count"`` only counts isosurface-crossing cells (cheap load proxy
         used by the large virtual-rank experiments) and estimates the
         triangle count from it.
@@ -160,6 +160,29 @@ class IsosurfaceScript(VisualizationScript):
             for axis in range(3)
         ]
 
+    def batch_coords(self, batch: BlockBatch) -> List[np.ndarray]:
+        """Batch twin of :meth:`block_coords`: per-axis ``(nblocks, n)``
+        global coordinates of every row's payload points, row ``i`` equal to
+        ``block_coords`` of block ``i`` (the rows may mix ladder levels)."""
+        levels = batch.levels
+        coords = []
+        for axis, n in enumerate(batch.block_shape):
+            start = batch.starts[:, axis]
+            stop = batch.stops[:, axis]
+            c = start[:, None] + np.arange(n, dtype=np.float64)
+            corners = levels == 2
+            if corners.any():
+                c[corners] = np.stack((start[corners], stop[corners] - 1), axis=1)
+            strided = levels == 1
+            lengths = stop - start
+            for length in np.unique(lengths[strided]).tolist():
+                rows = strided & (lengths == length)
+                c[rows] = start[rows, None] + np.asarray(
+                    axis_sample_indices(length), dtype=np.float64
+                )
+            coords.append(c)
+        return coords
+
     def extract_block(self, block: Block) -> tuple:
         """Extract one block's isosurface: ``(mesh, active_cells)``.
 
@@ -186,25 +209,27 @@ class IsosurfaceScript(VisualizationScript):
         block_ids: np.ndarray,
         cells: np.ndarray,
         npoints: int,
+        triangles: Optional[np.ndarray] = None,
     ) -> None:
-        """Record many blocks' counting-mode estimates (:meth:`record_count`
-        over arrays) plus their ``npoints`` payload points."""
+        """Record many blocks' active cells and triangles plus their
+        ``npoints`` payload points.  Without ``triangles`` (counting mode)
+        the triangle counts are :meth:`record_count`'s estimates."""
         cells = np.asarray(cells, dtype=np.int64)
         ids = np.asarray(block_ids).tolist()
-        triangles = np.rint(cells * TRIANGLES_PER_ACTIVE_CELL).astype(np.int64)
+        if triangles is None:
+            triangles = np.rint(cells * TRIANGLES_PER_ACTIVE_CELL).astype(np.int64)
         result.npoints += int(npoints)
         result.per_block_active_cells.update(zip(ids, cells.tolist()))
-        result.per_block_triangles.update(zip(ids, triangles.tolist()))
+        result.per_block_triangles.update(zip(ids, np.asarray(triangles).tolist()))
 
-    def finalize_mesh(self, result: RenderResult, meshes: Sequence[TriangleMesh]) -> None:
-        """Merge per-block meshes (in block order) and optionally rasterize."""
-        merged = TriangleMesh.merge(meshes)
-        result.mesh = merged
-        if self.render_image and not merged.is_empty:
-            lo, hi = merged.bounds()
+    def finalize_mesh(self, result: RenderResult, mesh: TriangleMesh) -> None:
+        """Keep the rank's merged mesh and optionally rasterize it."""
+        result.mesh = mesh
+        if self.render_image and not mesh.is_empty:
+            lo, hi = mesh.bounds()
             camera = Camera.fit_bounds(lo, hi)
             fb = Framebuffer(self.image_size[0], self.image_size[1])
-            rasterize_mesh(merged, camera, fb)
+            rasterize_mesh(mesh, camera, fb)
             result.image = fb.to_uint8()
 
     # -- entry points --------------------------------------------------------
@@ -227,28 +252,7 @@ class IsosurfaceScript(VisualizationScript):
                 result.per_block_triangles[block.block_id] = mesh.ntriangles
                 meshes.append(mesh)
             if self.mode == "mesh":
-                self.finalize_mesh(result, meshes)
-        result.measured_seconds = timer.elapsed
-        return result
-
-    def process_batch(self, blocks: Sequence[Block], iteration: int) -> RenderResult:
-        """Batched counterpart of :meth:`process`.
-
-        Counting mode stacks the blocks into one
-        :class:`~repro.grid.batch.BlockBatch` per payload shape/dtype and
-        counts each with one vectorised
-        :func:`~repro.viz.marching_cubes.count_active_cells_batch` pass; every
-        recorded count and triangle estimate is bitwise identical to
-        :meth:`process`'s.  Mesh mode extracts real per-block geometry, which
-        cannot be stacked, so it delegates to the reference loop.
-        """
-        if self.mode != "count":
-            return self.process(blocks, iteration)
-        result = RenderResult(script_name=self.name, iteration=iteration)
-        with Timer() as timer:
-            for _, batch in partition_by_shape(blocks):
-                cells = count_active_cells_batch(batch.data, self.level)
-                self.record_counts(result, batch.block_ids, cells, batch.npoints)
+                self.finalize_mesh(result, TriangleMesh.merge(meshes))
         result.measured_seconds = timer.elapsed
         return result
 

@@ -10,9 +10,12 @@ reproduction — yields the same *load structure*: the number of emitted
 triangles is proportional to the number of grid cells crossed by the
 isosurface, which is what drives per-process rendering time.
 
-The extraction is vectorised: candidate cells are detected with array min/max
-tests, and triangles are generated per (tetrahedron, sign-pattern) group, so
-the cost scales with the number of active cells rather than the domain size.
+The extraction is vectorised over a whole stacked batch of equally-shaped
+blocks (:func:`extract_isosurface_batch`; :func:`extract_isosurface` is its
+one-block call): candidate cells are detected with array min/max tests, and
+triangles are generated per (tetrahedron, sign-pattern) group of all the
+batch's active cells, so the cost scales with the number of active cells
+rather than the domain size or the number of blocks.
 """
 
 from __future__ import annotations
@@ -91,10 +94,10 @@ _TET_CASES = _build_tet_cases()
 def _active_cell_mask(f: np.ndarray, level: float) -> np.ndarray:
     """Boolean mask of the cells crossed by the ``level`` isosurface.
 
-    ``f`` must already be a 3-D float64 array with every axis >= 2.  The mask
-    is the single source of truth for cell activity: the counting helpers and
-    the mesh extractor all derive from it, so their cell counts can never
-    disagree.
+    ``f`` must already be a 3-D float64 array with every axis >= 2.  This
+    8-corner reduction is the per-block reference (:func:`count_active_cells`,
+    the serial counting backend); the batched extractor and counter share
+    :func:`_active_mask_batch`, which selects the same cells.
     """
     c = [f[:-1, :-1, :-1], f[1:, :-1, :-1], f[:-1, 1:, :-1], f[1:, 1:, :-1],
          f[:-1, :-1, 1:], f[1:, :-1, 1:], f[:-1, 1:, 1:], f[1:, 1:, 1:]]
@@ -117,34 +120,29 @@ def count_active_cells(field: np.ndarray, level: float) -> int:
     return int(np.count_nonzero(_active_cell_mask(f, level)))
 
 
-def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
-    """Per-block active-cell counts of a stacked ``(nblocks, sx, sy, sz)`` batch.
-
-    Vectorised counterpart of :func:`count_active_cells`: one min/max pass
-    over the stacked batch instead of one Python call per block.  Every entry
-    is bitwise identical to ``count_active_cells(batch[i], level)`` — the
-    comparisons are the same exact float64 min/max tests, only carried out
-    with a leading block axis — so the batched rendering backends cannot
-    perturb any count-derived decision.
-    """
+def _as_batch(batch: np.ndarray) -> np.ndarray:
     arr = np.asarray(batch)
     if arr.ndim != 4:
         raise ValueError(f"batch must be 4-D, got shape {arr.shape}")
-    nblocks = arr.shape[0]
-    if nblocks == 0 or min(arr.shape[1:]) < 2:
-        return np.zeros(nblocks, dtype=np.int64)
-    level = float(level)
+    return arr
+
+
+def _active_mask_batch(arr: np.ndarray, level: float) -> np.ndarray:
+    """``(nblocks, sx-1, sy-1, sz-1)`` mask of the cells the ``level``
+    isosurface crosses, for a 4-D batch whose payload axes are all >= 2.
+
+    Separable per-axis reduction: 3 ufunc calls (on shrinking
+    intermediates) instead of 7 over the 8 corner views.  min/max select
+    values exactly, so the cell minima/maxima — and therefore the mask — are
+    bitwise identical to the 8-corner float64 reduction of
+    :func:`_active_cell_mask`.  float32 payloads stay in float32 (the
+    float32→float64 cast is value-preserving, so the selected extrema are
+    the same numbers); the level comparisons then happen in float32 only
+    when ``level`` is exactly representable there, otherwise the (much
+    smaller) cell extrema are promoted to float64 first.
+    """
     if arr.dtype != np.float32:
         arr = np.asarray(arr, dtype=np.float64)
-    # Separable per-axis reduction: 3 ufunc calls (on shrinking
-    # intermediates) instead of 7 over the 8 corner views.  min/max select
-    # values exactly, so the cell minima/maxima — and therefore the counts —
-    # are bitwise identical to the 8-corner float64 reduction the scalar
-    # :func:`_active_cell_mask` performs.  float32 payloads stay in float32
-    # (the float32→float64 cast is value-preserving, so the selected
-    # extrema are the same numbers); the level comparisons then happen in
-    # float32 only when ``level`` is exactly representable there, otherwise
-    # the (much smaller) cell extrema are promoted to float64 first.
     cell_min = np.minimum(arr[:, :-1], arr[:, 1:])
     cell_max = np.maximum(arr[:, :-1], arr[:, 1:])
     cell_min = np.minimum(cell_min[:, :, :-1], cell_min[:, :, 1:])
@@ -154,10 +152,170 @@ def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
     if cell_min.dtype == np.float32 and float(np.float32(level)) != level:
         cell_min = cell_min.astype(np.float64)
         cell_max = cell_max.astype(np.float64)
-    active = (cell_min < cell_min.dtype.type(level)) & (
+    return (cell_min < cell_min.dtype.type(level)) & (
         cell_max >= cell_max.dtype.type(level)
     )
+
+
+def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
+    """Per-block active-cell counts of a stacked ``(nblocks, sx, sy, sz)`` batch.
+
+    Vectorised counterpart of :func:`count_active_cells`: one min/max pass
+    over the stacked batch instead of one Python call per block.  Every entry
+    is bitwise identical to ``count_active_cells(batch[i], level)`` (see
+    :func:`_active_mask_batch`), so the batched rendering backends cannot
+    perturb any count-derived decision.
+    """
+    arr = _as_batch(batch)
+    if arr.shape[0] == 0 or min(arr.shape[1:]) < 2:
+        return np.zeros(arr.shape[0], dtype=np.int64)
+    active = _active_mask_batch(arr, float(level))
     return np.count_nonzero(active, axis=(1, 2, 3)).astype(np.int64)
+
+
+def _row_axes(
+    coords: Optional[Sequence[np.ndarray]], nblocks: int, shape: Sequence[int]
+) -> List[np.ndarray]:
+    """Per-axis ``(nblocks, n)`` float64 coordinates (grid indices if None)."""
+    if coords is None:
+        return [
+            np.broadcast_to(np.arange(n, dtype=np.float64), (nblocks, n)) for n in shape
+        ]
+    if len(coords) != 3:
+        raise ValueError("coords must provide three axes")
+    axes = [np.asarray(c, dtype=np.float64) for c in coords]
+    for axis, (c, n) in enumerate(zip(axes, shape)):
+        if c.shape != (nblocks, n):
+            raise ValueError(
+                f"coords[{axis}] must have shape {(nblocks, n)}, got {c.shape}"
+            )
+    return axes
+
+
+def extract_isosurface_batch(
+    batch: np.ndarray,
+    level: float,
+    coords: Optional[Sequence[np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extract the ``level`` isosurface of every block of a stacked batch.
+
+    Parameters
+    ----------
+    batch:
+        ``(nblocks, sx, sy, sz)`` payloads of any real dtype.
+    level:
+        Isovalue.
+    coords:
+        Optional per-axis coordinates, one ``(nblocks, n)`` array per axis
+        (row ``i`` holds block ``i``'s rectilinear grid); grid indices are
+        used when omitted.
+
+    Returns
+    -------
+    (soup, bounds, active_cells)
+        The ``(ntriangles, 3, 3)`` triangle soup of every block, row-major:
+        block ``i``'s triangles are ``soup[bounds[i]:bounds[i + 1]]``, in
+        exactly the order the one-block call emits them (tetrahedron, case,
+        triangle, cell); and the per-block active-cell counts, bitwise
+        identical to :func:`count_active_cells_batch`.
+
+    One detection pass (:func:`_active_mask_batch`) serves the whole batch;
+    corner values are gathered from the native dtype and cast to float64
+    (exact), and every active cell of the batch is triangulated together.
+    Each triangle is computed by the same float64 element-wise arithmetic as
+    in a one-block call, so the per-block geometry does not depend on what
+    else shares the batch.
+    """
+    arr = _as_batch(batch)
+    nblocks, shape = arr.shape[0], arr.shape[1:]
+    axes = _row_axes(coords, nblocks, shape)
+    soup = np.zeros((0, 3, 3), dtype=np.float64)
+    bounds = np.zeros(nblocks + 1, dtype=np.int64)
+    if nblocks == 0 or min(shape) < 2:
+        return soup, bounds, np.zeros(nblocks, dtype=np.int64)
+    level = float(level)
+
+    # 1. Locate active cells (the one and only detection pass), row-major.
+    rows, ci, cj, ck = np.nonzero(_active_mask_batch(arr, level))
+    cells = np.bincount(rows, minlength=nblocks).astype(np.int64)
+    if rows.size == 0:
+        return soup, bounds, cells
+
+    # 2. Gather every active cell's corner values — from the native dtype,
+    # cast to float64 (exact) — and its low/high coordinate along each axis.
+    _, sy, sz = shape
+    flat = ((rows * shape[0] + ci) * sy + cj) * sz + ck
+    values = np.asarray(
+        arr.ravel()[(_CORNER_OFFSETS @ (sy * sz, sz, 1))[:, None] + flat],
+        dtype=np.float64,
+    )  # (8, ncells)
+    low_high = [
+        np.stack((coord[rows, index], coord[rows, index + 1]))
+        for coord, index in zip(axes, (ci, cj, ck))
+    ]  # per axis (2, ncells)
+
+    # 3. Triangulate the six tetrahedra of every active cell, one
+    # (tetrahedron, case) slab of cells at a time.  Vertices are kept as nine
+    # coordinate columns (triangle corner-major, then axis) plus the row.
+    columns: List[List[np.ndarray]] = [[] for _ in range(10)]
+    for tet, tet_offsets in zip(_TETRAHEDRA, _CORNER_OFFSETS[_TETRAHEDRA]):
+        tet_vals = values[tet]
+        inside = (tet_vals > level).view(np.uint8)
+        case_index = inside[0] | inside[1] << 1 | inside[2] << 2 | inside[3] << 3
+        # Stable: each case's cells stay in ascending (row, cell) order.
+        by_case = np.argsort(case_index, kind="stable")
+        tet_vals = tet_vals[:, by_case]
+        tet_low_high = [lh[:, by_case] for lh in low_high]
+        tet_rows = rows[by_case]
+        stop = 0
+        counts = np.bincount(case_index, minlength=16).tolist()
+        for count, triangles in zip(counts, _TET_CASES.values()):
+            cells_c = slice(stop, stop + count)
+            stop += count
+            if not triangles or not count:
+                continue
+            vertex = {}
+            for ia, ib in sorted({edge for tri in triangles for edge in tri}):
+                va = tet_vals[ia, cells_c]
+                vb = tet_vals[ib, cells_c]
+                denom = vb - va
+                # Edges always cross the level (one side above, one below),
+                # so the denominator is never exactly zero; guard anyway.
+                denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+                t = np.clip((level - va) / denom, 0.0, 1.0)
+                vertex[ia, ib] = []
+                for axis, lh in enumerate(tet_low_high):
+                    pa = lh[tet_offsets[ia, axis], cells_c]
+                    pb = lh[tet_offsets[ib, axis], cells_c]
+                    vertex[ia, ib].append(pa + t * (pb - pa))
+            for tri_edges in triangles:
+                for slot, edge in enumerate(tri_edges):
+                    for axis in range(3):
+                        columns[3 * slot + axis].append(vertex[edge][axis])
+                columns[9].append(tet_rows[cells_c])
+
+    if not columns[9]:
+        return soup, bounds, cells
+    vertices = [np.concatenate(c) for c in columns[:9]]
+    tri_rows = np.concatenate(columns[9])
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = vertices
+    # Drop degenerate triangles (zero area), which can appear when the level
+    # coincides exactly with corner values.  The area is
+    # 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1) spelled out per axis,
+    # operation for operation (numpy sums the squares left to right).
+    e1 = (x1 - x0, y1 - y0, z1 - z0)
+    e2 = (x2 - x0, y2 - y0, z2 - z0)
+    n0 = e1[1] * e2[2] - e1[2] * e2[1]
+    n1 = e1[2] * e2[0] - e1[0] * e2[2]
+    n2 = e1[0] * e2[1] - e1[1] * e2[0]
+    area = 0.5 * np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    kept = np.flatnonzero(area > 1e-14)
+    tri_rows = tri_rows[kept]
+    # Stable sort by row: within a block, the slab order above is kept.
+    kept = kept[np.argsort(tri_rows, kind="stable")]
+    soup = np.take(np.stack(vertices, axis=1), kept, axis=0)
+    np.cumsum(np.bincount(tri_rows, minlength=nblocks), out=bounds[1:])
+    return soup.reshape(-1, 3, 3), bounds, cells
 
 
 def extract_isosurface(
@@ -170,95 +328,21 @@ def extract_isosurface(
     Identical to :func:`marching_cubes` but also returns the number of active
     (isosurface-crossing) cells from the *same* detection pass, so callers that
     need both the geometry and the cell count — the isosurface rendering
-    scripts do — scan the field once instead of twice.  The count is bitwise
-    identical to :func:`count_active_cells` (both derive from
-    :func:`_active_cell_mask`).
+    scripts do — scan the field once instead of twice.  This is the one-block
+    call of :func:`extract_isosurface_batch`; the count equals
+    :func:`count_active_cells`.
 
     Returns
     -------
     (mesh, active_cells)
         Triangle soup of the isosurface plus the active-cell count.
     """
-    f = np.asarray(field, dtype=np.float64)
+    f = np.asarray(field)
     if f.ndim != 3:
         raise ValueError(f"field must be 3-D, got shape {f.shape}")
-    if min(f.shape) < 2:
-        return TriangleMesh(), 0
-    if coords is None:
-        axes = [np.arange(n, dtype=np.float64) for n in f.shape]
-    else:
-        if len(coords) != 3:
-            raise ValueError("coords must provide three axes")
-        axes = [np.asarray(c, dtype=np.float64) for c in coords]
-        for axis, (c, n) in enumerate(zip(axes, f.shape)):
-            if c.ndim != 1 or c.size != n:
-                raise ValueError(
-                    f"coords[{axis}] must be 1-D of length {n}, got shape {c.shape}"
-                )
-
-    # 1. Locate active cells (the one and only detection pass).
-    active = np.argwhere(_active_cell_mask(f, level))
-    ncells_active = int(active.shape[0])
-    if ncells_active == 0:
-        return TriangleMesh(), 0
-
-    # 2. Gather per-active-cell corner values and positions.
-    ci, cj, ck = active[:, 0], active[:, 1], active[:, 2]
-    ncells = active.shape[0]
-    values = np.empty((ncells, 8), dtype=np.float64)
-    positions = np.empty((ncells, 8, 3), dtype=np.float64)
-    for corner, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-        ii, jj, kk = ci + dx, cj + dy, ck + dz
-        values[:, corner] = f[ii, jj, kk]
-        positions[:, corner, 0] = axes[0][ii]
-        positions[:, corner, 1] = axes[1][jj]
-        positions[:, corner, 2] = axes[2][kk]
-
-    # 3. Triangulate the six tetrahedra of every active cell.
-    soup_parts: List[np.ndarray] = []
-    for tet in _TETRAHEDRA:
-        tet_vals = values[:, tet]           # (ncells, 4)
-        tet_pos = positions[:, tet, :]      # (ncells, 4, 3)
-        inside = (tet_vals > level).astype(np.int64)
-        case_index = (
-            inside[:, 0]
-            | (inside[:, 1] << 1)
-            | (inside[:, 2] << 2)
-            | (inside[:, 3] << 3)
-        )
-        for case, triangles in _TET_CASES.items():
-            if not triangles:
-                continue
-            mask = case_index == case
-            if not np.any(mask):
-                continue
-            vals_c = tet_vals[mask]
-            pos_c = tet_pos[mask]
-            for tri_edges in triangles:
-                tri_pts = np.empty((vals_c.shape[0], 3, 3), dtype=np.float64)
-                for corner_slot, (ia, ib) in enumerate(tri_edges):
-                    va = vals_c[:, ia]
-                    vb = vals_c[:, ib]
-                    denom = vb - va
-                    # Edges always cross the level (one side above, one below),
-                    # so the denominator is never exactly zero; guard anyway.
-                    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-                    t = np.clip((level - va) / denom, 0.0, 1.0)
-                    tri_pts[:, corner_slot, :] = (
-                        pos_c[:, ia, :] + t[:, None] * (pos_c[:, ib, :] - pos_c[:, ia, :])
-                    )
-                soup_parts.append(tri_pts)
-
-    if not soup_parts:
-        return TriangleMesh(), ncells_active
-    soup = np.concatenate(soup_parts, axis=0)
-    # Drop degenerate triangles (zero area), which can appear when the level
-    # coincides exactly with corner values.
-    e1 = soup[:, 1] - soup[:, 0]
-    e2 = soup[:, 2] - soup[:, 0]
-    areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-    soup = soup[areas > 1e-14]
-    return TriangleMesh.from_triangle_soup(soup), ncells_active
+    rows = None if coords is None else [np.asarray(c)[None] for c in coords]
+    soup, _, cells = extract_isosurface_batch(f[None], level, coords=rows)
+    return TriangleMesh.from_triangle_soup(soup), int(cells[0])
 
 
 def marching_cubes(

@@ -197,6 +197,43 @@ class TestCartesianDecomposition:
         decomp = CartesianDecomposition((16, 16, 8), nranks=4, blocks_per_subdomain=(2, 2, 1))
         assert decomp.validate_coverage()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 3)] * 3),
+        per_subdomain=st.tuples(*[st.integers(1, 3)] * 3),
+        slack=st.tuples(*[st.integers(0, 4)] * 3),
+        override=st.booleans(),
+    )
+    def test_blocks_of_all_ranks_partition_the_domain(
+        self, dims, per_subdomain, slack, override
+    ):
+        """Every grid point belongs to exactly one block of exactly one rank,
+        with or without ``rank_dims_override`` (length-1 axes included)."""
+        nranks = int(np.prod(dims))
+        if not override:
+            dims = factorize_ranks(nranks)
+        shape = tuple(r * b + e for r, b, e in zip(dims, per_subdomain, slack))
+        decomp = CartesianDecomposition(
+            shape, nranks, per_subdomain, dims if override else None
+        )
+        assert decomp.rank_dims == tuple(dims)
+        field = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        cover = np.zeros(shape, dtype=np.int64)
+        ids = []
+        for rank in range(nranks):
+            sub = decomp.subdomain_extent(rank)
+            for block in decomp.extract_blocks(rank, field):
+                ext = block.extent
+                assert all(
+                    sub.start[a] <= ext.start[a] < ext.stop[a] <= sub.stop[a]
+                    for a in range(3)
+                )
+                assert np.array_equal(block.data, field[ext.slices])
+                cover[ext.slices] += 1
+                ids.append(block.block_id)
+        assert (cover == 1).all()
+        assert sorted(ids) == list(range(decomp.nblocks))
+
     def test_rank_coords_roundtrip(self):
         decomp = CartesianDecomposition((16, 16, 8), nranks=8)
         for rank in range(8):

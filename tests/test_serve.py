@@ -27,6 +27,7 @@ from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import get_scenario, scenario_names
 from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key
+from repro.serve.server import MAX_HEAD_BYTES
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
@@ -264,6 +265,17 @@ class TestRunRequest:
             {"scenario": "tiny", "percent": float("nan")},
             {"scenario": "tiny", "target": 0},
             {"scenario": "tiny", "target": float("nan")},
+            {"scenario": "tiny", "ranks": 0},
+            {"scenario": "tiny", "ranks": -4},
+            {"scenario": "tiny", "ranks": 2.7},
+            {"scenario": "tiny", "ranks": 2.0},
+            {"scenario": "tiny", "ranks": "2"},
+            {"scenario": "tiny", "ranks": True},
+            {"scenario": "tiny", "snapshots": 0},
+            {"scenario": "tiny", "snapshots": True},
+            {"scenario": "tiny", "snapshots": [2]},
+            {"scenario": "tiny", "seed": "7"},
+            {"scenario": "tiny", "seed": False},
             "not an object",
         ],
     )
@@ -385,6 +397,13 @@ class TestServeApp:
             ({"percent": -1}, "percent must be in [0, 100]"),
             ({"percent": float("nan")}, "percent must be in [0, 100]"),
             ({"target": 0}, "target must be > 0"),
+            ({"ranks": 0}, "ranks must be a positive integer"),
+            ({"ranks": 2.7}, "ranks must be a positive integer"),
+            ({"snapshots": 0}, "snapshots must be a positive integer"),
+            ({"snapshots": True}, "snapshots must be a positive integer"),
+            ({"seed": 2.5}, "seed must be a non-negative integer"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"percent": [50]}, "float() argument"),
         ],
     )
     def test_invalid_fields_400_before_stream(self, tmp_path, fields, reason):
@@ -399,6 +418,41 @@ class TestServeApp:
                 assert status == 400
                 assert reason in json.loads(raw)["error"]
                 assert app.executor_stats()["completed"] == 0
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize(
+        "head, reason",
+        [
+            (b"GARBAGE\r\n\r\n", "malformed request line"),
+            (b"POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "Content-Length"),
+            (b"POST /run HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "Content-Length"),
+            (
+                b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (MAX_HEAD_BYTES + 10),
+                "request head exceeds 65536 bytes",
+            ),
+        ],
+        ids=["garbage-line", "negative-length", "non-numeric-length", "oversized-head"],
+    )
+    def test_malformed_head_gets_json_400(self, tmp_path, head, reason):
+        """Raw-socket probes: every malformed head is answered with a JSON
+        400 and a reason, and the server keeps serving afterwards."""
+
+        async def body():
+            async with serve_app(tmp_path) as (app, port):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(head)
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=30)
+                writer.close()
+                with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                    await writer.wait_closed()
+                status_line, _, payload = raw.partition(b"\r\n\r\n")
+                assert status_line.split(b"\r\n")[0].split()[1] == b"400"
+                assert reason in json.loads(payload)["error"]
+                assert app.executor_stats()["completed"] == 0
+                status, _ = await _request(port, "GET", "/health")
+                assert status == 200
 
         asyncio.run(body())
 

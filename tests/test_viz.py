@@ -16,6 +16,7 @@ from repro.viz.marching_cubes import (
     count_active_cells,
     count_active_cells_batch,
     extract_isosurface,
+    extract_isosurface_batch,
     marching_cubes,
 )
 from repro.viz.mesh import TriangleMesh
@@ -165,6 +166,144 @@ class TestMarchingCubes:
             count_active_cells_batch(np.zeros((4, 4, 4)), 0.5)
 
 
+def reference_isosurface(field, level, coords):
+    """The per-block loop extractor the batched kernel replaced, kept as the
+    test reference: ``(vertices, active_cells)``.  Cells by an 8-corner
+    float64 min/max test; then for each tetrahedron, case and triangle, the
+    crossing cells in index order."""
+    from repro.viz.marching_cubes import _CORNER_OFFSETS, _TET_CASES, _TETRAHEDRA
+
+    f = np.asarray(field, dtype=np.float64)
+    if min(f.shape) < 2:
+        return np.zeros((0, 3)), 0
+    n = [s - 1 for s in f.shape]
+    corners = [
+        f[dx : dx + n[0], dy : dy + n[1], dz : dz + n[2]] for dx, dy, dz in _CORNER_OFFSETS
+    ]
+    active = np.argwhere(
+        (np.minimum.reduce(corners) < level) & (np.maximum.reduce(corners) >= level)
+    )
+    values = np.stack([c[tuple(active.T)] for c in corners], axis=1)
+    positions = np.stack(
+        [
+            np.stack([coords[a][active[:, a] + o[a]] for a in range(3)], axis=1)
+            for o in _CORNER_OFFSETS
+        ],
+        axis=1,
+    )
+    parts = []
+    for tet in _TETRAHEDRA:
+        vals, pos = values[:, tet], positions[:, tet]
+        inside = (vals > level).astype(np.int64)
+        case_index = inside @ np.array([1, 2, 4, 8])
+        for case, triangles in _TET_CASES.items():
+            m = case_index == case
+            for tri_edges in triangles:
+                tri = np.empty((int(m.sum()), 3, 3))
+                for slot, (ia, ib) in enumerate(tri_edges):
+                    va, vb = vals[m, ia], vals[m, ib]
+                    denom = vb - va
+                    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+                    t = np.clip((level - va) / denom, 0.0, 1.0)
+                    tri[:, slot] = pos[m, ia] + t[:, None] * (pos[m, ib] - pos[m, ia])
+                parts.append(tri)
+    soup = np.concatenate(parts) if parts else np.zeros((0, 3, 3))
+    normal = np.cross(soup[:, 1] - soup[:, 0], soup[:, 2] - soup[:, 0])
+    area = 0.5 * np.linalg.norm(normal, axis=1)
+    return soup[area > 1e-14].reshape(-1, 3), len(active)
+
+
+@st.composite
+def mixed_level_group(draw):
+    """Blocks sharing one payload shape and dtype at mixed ladder levels.
+
+    Level-1 extents are drawn so their strided samples fill the shape; the
+    corner rung joins when the shape is 2×2×2, with extents of any length
+    (length-1 axes included).  The group may be empty.
+    """
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    levels = [0, 1] + ([2] if shape == (2, 2, 2) else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for block_id in range(draw(st.integers(0, 6))):
+        level = draw(st.sampled_from(levels))
+        if level == 0:
+            lengths = shape
+        elif level == 1:
+            lengths = tuple(
+                1 if n == 1 else draw(st.sampled_from((2 * n - 2, 2 * n - 1)))
+                for n in shape
+            )
+        else:
+            lengths = tuple(draw(st.integers(1, 6)) for _ in range(3))
+        start = tuple(draw(st.integers(0, 30)) for _ in range(3))
+        data = rng.uniform(30.0, 60.0, size=shape)
+        if draw(st.booleans()):
+            data = np.round(data / 5.0) * 5.0  # corner values equal to the level
+        blocks.append(
+            Block(
+                block_id=block_id,
+                extent=BlockExtent(start, tuple(a + n for a, n in zip(start, lengths))),
+                data=data.astype(dtype),
+                reduced=level > 0,
+                level=level,
+            )
+        )
+    return shape, dtype, blocks
+
+
+class TestIsosurfaceBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(group=mixed_level_group())
+    def test_rows_equal_one_block_calls(self, group):
+        """Every row of the batched extraction is bitwise the one-block call
+        and the reference loop: vertices, triangle order and active cells."""
+        from repro.grid.batch import BlockBatch
+
+        shape, dtype, blocks = group
+        script = IsosurfaceScript(level=45.0, mode="mesh")
+        if blocks:
+            batch = BlockBatch.from_blocks(blocks)
+            data, coords = batch.data, script.batch_coords(batch)
+        else:
+            data = np.zeros((0, *shape), dtype=dtype)
+            coords = [np.zeros((0, n)) for n in shape]
+        soup, bounds, cells = extract_isosurface_batch(data, 45.0, coords)
+        assert soup.shape == (bounds[-1], 3, 3) and bounds[0] == 0
+        assert bounds.shape == (len(blocks) + 1,) and cells.shape == (len(blocks),)
+        for i, block in enumerate(blocks):
+            block_coords = script.block_coords(block, block.data.shape)
+            for axis in range(3):
+                assert coords[axis][i].tobytes() == block_coords[axis].tobytes()
+            mesh, active = script.extract_block(block)
+            want, want_cells = reference_isosurface(block.data, 45.0, block_coords)
+            assert soup[bounds[i] : bounds[i + 1]].tobytes() == mesh.vertices.tobytes()
+            assert mesh.vertices.tobytes() == want.tobytes()
+            assert cells[i] == active == want_cells == count_active_cells(block.data, 45.0)
+
+    def test_one_block_call_is_the_batch_row(self):
+        field, x = sphere_field(12)
+        mesh, cells = extract_isosurface(field, 0.0, coords=(x, x, x))
+        soup, bounds, batch_cells = extract_isosurface_batch(
+            field[None], 0.0, coords=[x[None]] * 3
+        )
+        assert mesh.ntriangles > 0 and bounds.tolist() == [0, mesh.ntriangles]
+        assert soup.tobytes() == mesh.vertices.tobytes()
+        assert batch_cells.tolist() == [cells]
+
+    def test_degenerate_and_validation(self):
+        soup, bounds, cells = extract_isosurface_batch(np.zeros((3, 1, 4, 4)), 0.5)
+        assert soup.shape == (0, 3, 3)
+        assert bounds.tolist() == [0, 0, 0, 0] and cells.tolist() == [0, 0, 0]
+        with pytest.raises(ValueError):
+            extract_isosurface_batch(np.zeros((4, 4, 4)), 0.5)
+        with pytest.raises(ValueError):
+            extract_isosurface_batch(np.zeros((2, 3, 3, 3)), 0.5, [np.zeros(3)] * 3)
+        with pytest.raises(ValueError):
+            extract_isosurface_batch(np.zeros((2, 3, 3, 3)), 0.5, [np.zeros((2, 3))] * 2)
+
+
 class TestCameraAndRasterizer:
     def test_camera_projects_center_to_screen_middle(self):
         cam = Camera(position=[0, 0, -5], target=[0, 0, 0], up=[0, 1, 0])
@@ -305,35 +444,54 @@ class TestCatalyst:
         with pytest.raises(ValueError):
             IsosurfaceScript(mode="count", render_image=True)
 
-    def test_process_batch_matches_process(self, tiny_field):
-        """The batched count path is indistinguishable from the per-block loop,
-        on a mixed list of full and reduced (2×2×2) blocks."""
+    @staticmethod
+    def _vectorized(render_mode, render_image=False):
+        from repro.core.rendering_step import VectorizedRenderingStep
+        from repro.perfmodel.platform import PlatformModel
+
+        return VectorizedRenderingStep(
+            PlatformModel.blue_waters(2),
+            isosurface_level=45.0,
+            render_mode=render_mode,
+            render_image=render_image,
+        )
+
+    @pytest.mark.parametrize("mode", ["count", "mesh"])
+    def test_vectorized_rendering_matches_process(self, tiny_field, mode):
+        """The batched rendering step is indistinguishable from the per-block
+        loop, on a mixed list of full, strided (level 1) and corner (level 2)
+        blocks."""
         blocks, _ = self._blocks(tiny_field)
         mixed = [
-            reduce_block(block) if i % 2 else block for i, block in enumerate(blocks)
+            reduce_block(block, level=i % 3) if i % 3 else block
+            for i, block in enumerate(blocks)
         ]
-        script = IsosurfaceScript(level=45.0, mode="count")
-        reference = script.process(mixed, 1)
-        batched = script.process_batch(mixed, 1)
+        image = mode == "mesh"
+        reference = IsosurfaceScript(
+            level=45.0, mode=mode, render_image=image
+        ).process(mixed, 1)
+        (batched,), _ = self._vectorized(mode, render_image=image).run([mixed], 1)
         assert batched.per_block_active_cells == reference.per_block_active_cells
         assert batched.per_block_triangles == reference.per_block_triangles
         assert batched.npoints == reference.npoints
         assert batched.iteration == reference.iteration
+        if mode == "mesh":
+            assert reference.mesh.ntriangles > 0
+            assert batched.mesh.vertices.tobytes() == reference.mesh.vertices.tobytes()
+            assert np.array_equal(batched.mesh.triangles, reference.mesh.triangles)
+            assert np.array_equal(batched.image, reference.image)
+        else:
+            assert batched.mesh is None and batched.image is None
 
-    def test_process_batch_mesh_mode_delegates(self, tiny_field):
+    @pytest.mark.parametrize("mode", ["count", "mesh"])
+    def test_vectorized_rendering_empty_rank(self, tiny_field, mode):
         blocks, _ = self._blocks(tiny_field)
-        script = IsosurfaceScript(level=45.0, mode="mesh")
-        reference = script.process(blocks, 0)
-        batched = script.process_batch(blocks, 0)
-        assert batched.per_block_triangles == reference.per_block_triangles
-        assert batched.per_block_active_cells == reference.per_block_active_cells
-        assert batched.mesh.ntriangles == reference.mesh.ntriangles
-
-    def test_process_batch_empty_rank(self):
-        script = IsosurfaceScript(level=45.0, mode="count")
-        result = script.process_batch([], 2)
-        assert result.npoints == 0
-        assert result.per_block_triangles == {}
+        (empty, full), _ = self._vectorized(mode).run([[], blocks], 2)
+        assert empty.npoints == 0 and empty.iteration == 2
+        assert empty.per_block_triangles == {}
+        assert full.npoints > 0
+        if mode == "mesh":
+            assert empty.mesh.is_empty and empty.mesh.vertices.shape == (0, 3)
 
     def test_reduced_block_geometry_stays_in_extent(self):
         """Reduced-block isosurface vertices never leave the block's extent."""
